@@ -12,16 +12,14 @@ use crate::eval::EvaluationStore;
 use crate::file_reputation::{
     download_decision, file_reputation, DownloadDecision, OwnerEvaluation,
 };
-use crate::file_trust::{FileTrustOptions, FileTrustState};
+use crate::file_trust::{ft_row, FileTrust, FileTrustOptions};
 use crate::incentive::{ServiceDecision, ServicePolicy};
 use crate::params::Params;
 use crate::reputation::ReputationMatrix;
 use crate::snapshot::EngineSnapshot;
 use crate::user_trust::UserTrust;
 use crate::volume_trust::VolumeTrust;
-use mdrep_matrix::{
-    blend_frozen, normalize_row_mut, normalized_row, shard_ranges, CsrMatrix, UserIndex,
-};
+use mdrep_matrix::{blend_frozen, normalize_row_mut, shard_ranges, CsrMatrix, UserIndex};
 use mdrep_types::{Evaluation, FileId, FileSize, SimTime, UserId};
 use mdrep_workload::{Catalog, EventKind, TraceEvent};
 use std::collections::{BTreeMap, BTreeSet, HashSet};
@@ -94,7 +92,12 @@ pub struct ReputationEngine {
     evals: EvaluationStore,
     volume: VolumeTrust,
     user_trust: UserTrust,
-    file_trust: FileTrustState,
+    /// Users whose `FM` row must be rebuilt. The contract every entry point
+    /// upholds: whenever `FT_ij` may have changed, both `i` and `j` are in
+    /// here (or reached through [`dirty_files`](Self::dirty_files)). A clean
+    /// row's entry for a dirty partner is then unchanged, so rebuilding just
+    /// the dirty rows with [`ft_row`] reproduces the batch `FT`.
+    fm_dirty: BTreeSet<UserId>,
     /// Files whose evaluation set changed since the last recompute. Kept as
     /// files rather than expanded to evaluator rows eagerly: a popular file
     /// has many co-evaluators, and expanding once per recompute instead of
@@ -136,6 +139,24 @@ fn row_slab_bytes(len: usize) -> usize {
     mdrep_matrix::approx_row_bytes(len)
 }
 
+/// A freshly built raw row as a published `FM`/`DM`/`UM` slab: normalized
+/// (a zero-sum row empties) and zero-filtered, exactly as the batch freeze
+/// stores it.
+fn normalized_slab(mut row: mdrep_matrix::SparseVector) -> Arc<mdrep_matrix::SparseVector> {
+    if !normalize_row_mut(&mut row) {
+        row.clear();
+    }
+    row.retain(|_, v| *v != 0.0);
+    Arc::new(row)
+}
+
+/// Runs `f` under the registry timer and the trace span `name`.
+fn phase<T>(name: &'static str, f: impl FnOnce() -> T) -> T {
+    let _span = mdrep_obs::global().span(name);
+    let _trace = mdrep_obs::trace_span(name);
+    f()
+}
+
 impl ReputationEngine {
     /// Creates an engine with default file-trust options.
     #[must_use]
@@ -153,7 +174,7 @@ impl ReputationEngine {
             evals: EvaluationStore::new(),
             volume: VolumeTrust::new(),
             user_trust: UserTrust::new(),
-            file_trust: FileTrustState::new(),
+            fm_dirty: BTreeSet::new(),
             dirty_files: BTreeSet::new(),
             rm: None,
             components: None,
@@ -195,8 +216,7 @@ impl ReputationEngine {
     /// Folds the deferred per-file dirt into the `FM` dirty-row set.
     fn expand_dirty_files(&mut self) {
         for file in std::mem::take(&mut self.dirty_files) {
-            self.file_trust
-                .mark_dirty_many(self.evals.evaluators_of(file));
+            self.fm_dirty.extend(self.evals.evaluators_of(file));
         }
     }
 
@@ -259,13 +279,13 @@ impl ReputationEngine {
     pub fn observe_whitewash(&mut self, user: UserId) {
         if self.dirty_tracking_enabled() {
             // Every co-evaluator of the user's files can gain a pair (cap
-            // prefixes shift) …
+            // prefixes shift) or lose its pair with `user`; every FT partner
+            // is one of them. The user's own row empties.
             let files: Vec<FileId> = self.evals.files_of(user).collect();
             for file in files {
                 self.dirty_file_coevaluators(file);
             }
-            // … and every existing FT partner loses one.
-            self.file_trust.mark_user_removed(user);
+            self.fm_dirty.insert(user);
         }
         self.evals.remove_user(user);
         self.volume.remove_user(user);
@@ -309,7 +329,7 @@ impl ReputationEngine {
         if self.dirty_tracking_enabled() {
             for &(user, file) in &dropped {
                 self.volume.mark_dirty(user);
-                self.file_trust.mark_dirty(user);
+                self.fm_dirty.insert(user);
                 // The record is already gone, so this reaches exactly the
                 // *remaining* evaluators whose pairs with `user` must drop.
                 self.dirty_file_coevaluators(file);
@@ -411,7 +431,7 @@ impl ReputationEngine {
                 }
                 for user in drifting {
                     self.volume.mark_dirty(user);
-                    self.file_trust.mark_dirty(user);
+                    self.fm_dirty.insert(user);
                     let files: Vec<FileId> = self.evals.files_of(user).collect();
                     for file in files {
                         self.dirty_file_coevaluators(file);
@@ -430,48 +450,42 @@ impl ReputationEngine {
     /// blended across [`Params::threads`](crate::Params::threads) workers)
     /// and clear all dirty state.
     fn rebuild_full(&mut self, now: SimTime) {
-        let obs = mdrep_obs::global();
         let threads = self.params.effective_threads();
         self.dirty_files.clear();
+        self.fm_dirty.clear();
+        self.volume.clear_dirty();
+        self.user_trust.clear_dirty();
         // Build the raw matrices first, then freeze all three under one
         // shared interner so the blend and power kernels can assume a
         // common dense column space. Row normalization (Eqs. 3/5/6) is
-        // fused into the freeze pass.
-        self.file_trust
-            .full_rebuild(&self.evals, now, &self.params, self.file_trust_options);
-        self.volume.clear_dirty();
-        self.user_trust.clear_dirty();
-        let dm_raw = self
-            .volume
-            .raw_parallel(&self.evals, now, &self.params, threads);
-        let um_raw = self.user_trust.raw();
-        let ft_raw = self.file_trust.raw();
-        let index = Arc::new(UserIndex::from_matrices(&[ft_raw, &dm_raw, &um_raw]));
-        let fm = {
-            let _span = obs.span("engine.recompute.fm_build");
-            let _trace = mdrep_obs::trace_span("engine.recompute.fm_build");
-            CsrMatrix::freeze_normalized_sharded(&index, ft_raw, threads)
-        };
-        let dm = {
-            let _span = obs.span("engine.recompute.dm_build");
-            let _trace = mdrep_obs::trace_span("engine.recompute.dm_build");
+        // fused into the freeze pass. A matrix's raw build and its freeze
+        // are both timed under that matrix's phase span.
+        let ft = phase("engine.recompute.fm_build", || {
+            FileTrust::compute_with(&self.evals, now, &self.params, self.file_trust_options)
+        });
+        let dm_raw = phase("engine.recompute.dm_build", || {
+            self.volume
+                .raw_parallel(&self.evals, now, &self.params, threads)
+        });
+        let um_raw = phase("engine.recompute.um_build", || self.user_trust.raw());
+        let index = Arc::new(UserIndex::from_matrices(&[ft.raw(), &dm_raw, &um_raw]));
+        let fm = phase("engine.recompute.fm_build", || {
+            CsrMatrix::freeze_normalized_sharded(&index, ft.raw(), threads)
+        });
+        let dm = phase("engine.recompute.dm_build", || {
             CsrMatrix::freeze_normalized_sharded(&index, &dm_raw, threads)
-        };
-        let um = {
-            let _span = obs.span("engine.recompute.um_build");
-            let _trace = mdrep_obs::trace_span("engine.recompute.um_build");
+        });
+        let um = phase("engine.recompute.um_build", || {
             CsrMatrix::freeze_normalized_sharded(&index, &um_raw, threads)
-        };
+        });
         let w = self.params.weights();
-        let tm = {
-            let _span = obs.span("engine.recompute.integrate");
-            let _trace = mdrep_obs::trace_span("engine.recompute.integrate");
+        let tm = phase("engine.recompute.integrate", || {
             blend_frozen(
                 &[(w.alpha(), &fm), (w.beta(), &dm), (w.gamma(), &um)],
                 threads,
             )
             .expect("validated weights form a convex combination")
-        };
+        });
         let rm = ReputationMatrix::compute_csr(tm.clone(), &self.params);
         Self::record_matrix_gauges(&tm, &rm);
         // A batch rebuild materializes every matrix from scratch: the next
@@ -487,7 +501,7 @@ impl ReputationEngine {
     }
 
     /// The dirty-row path: recompute only invalidated rows in place. Every
-    /// per-row computation (pair accumulation, volume sums, normalization,
+    /// per-row computation (Equation 2 rows, volume sums, normalization,
     /// blending) goes through the same helpers as the batch path, in the
     /// same order, so the patched matrices are bit-identical to a rebuild.
     ///
@@ -500,7 +514,6 @@ impl ReputationEngine {
     /// [`Params::threads`](crate::Params::threads) — so the merged result
     /// is bit-identical to the serial loop at any shard/thread count.
     fn rebuild_incremental(&mut self, now: SimTime) {
-        let obs = mdrep_obs::global();
         let threads = self.params.effective_threads();
         let mut comps = self
             .components
@@ -511,16 +524,8 @@ impl ReputationEngine {
             .take()
             .expect("incremental mode requires a prior RM");
 
-        // Phase 1 — serial, stateful: the Equation 2 pair re-accumulation
-        // mutates the raw FT builder, so it cannot shard. It returns the
-        // FM dirty set; the other stores just hand theirs over. All three
-        // are ascending.
-        let fm_dirty = {
-            let _span = obs.span("engine.recompute.fm_build");
-            let _trace = mdrep_obs::trace_span("engine.recompute.fm_build");
-            self.file_trust
-                .apply_dirty(&self.evals, now, &self.params, self.file_trust_options)
-        };
+        // The three stores' dirty sets, each ascending.
+        let fm_dirty: Vec<UserId> = std::mem::take(&mut self.fm_dirty).into_iter().collect();
         let dm_dirty = self.volume.take_dirty();
         let um_dirty = self.user_trust.take_dirty();
 
@@ -532,49 +537,38 @@ impl ReputationEngine {
         union.sort_unstable();
         union.dedup();
 
-        // Phase 2 — parallel, pure: rebuild every dirty row (and its blend)
-        // without touching the matrices. Workers own contiguous id ranges
-        // of the union; each consults the per-store dirty sets by binary
-        // search and reads undirtied component rows straight from the
-        // frozen matrices — exactly what the serial path would have read,
-        // because a row absent from a dirty set is never patched.
-        let patches: Vec<RowPatch> = {
-            let _span = obs.span("engine.recompute.integrate");
-            let _trace = mdrep_obs::trace_span("engine.recompute.integrate");
+        // Parallel, pure: rebuild every dirty row (and its blend) without
+        // touching the matrices. Workers own contiguous id ranges of the
+        // union; each consults the per-store dirty sets by binary search
+        // and reads undirtied component rows straight from the frozen
+        // matrices — exactly what the serial path would have read, because
+        // a row absent from a dirty set is never patched.
+        let patches: Vec<RowPatch> = phase("engine.recompute.integrate", || {
             let w = self.params.weights();
-            let (ft, volume, user_trust, evals, params) = (
-                self.file_trust.raw(),
+            let (volume, user_trust, evals, params, ft_options) = (
                 &self.volume,
                 &self.user_trust,
                 &self.evals,
                 &self.params,
+                self.file_trust_options,
             );
             let comps_ref = &comps;
             let (fm_dirty, dm_dirty, um_dirty) = (&fm_dirty, &dm_dirty, &um_dirty);
             let worker = move |rows: &[UserId]| -> Vec<RowPatch> {
                 rows.iter()
                     .map(|&u| {
-                        let fm = fm_dirty.binary_search(&u).is_ok().then(|| {
-                            let mut row = ft.row(u).and_then(normalized_row).unwrap_or_default();
-                            row.retain(|_, v| *v != 0.0);
-                            Arc::new(row)
-                        });
-                        let dm = dm_dirty.binary_search(&u).is_ok().then(|| {
-                            let mut row = volume.vd_row(u, evals, now, params);
-                            if !normalize_row_mut(&mut row) {
-                                row.clear();
-                            }
-                            row.retain(|_, v| *v != 0.0);
-                            Arc::new(row)
-                        });
-                        let um = um_dirty.binary_search(&u).is_ok().then(|| {
-                            let mut row = user_trust.ut_row(u);
-                            if !normalize_row_mut(&mut row) {
-                                row.clear();
-                            }
-                            row.retain(|_, v| *v != 0.0);
-                            Arc::new(row)
-                        });
+                        let fm = fm_dirty
+                            .binary_search(&u)
+                            .is_ok()
+                            .then(|| normalized_slab(ft_row(evals, u, now, params, ft_options)));
+                        let dm = dm_dirty
+                            .binary_search(&u)
+                            .is_ok()
+                            .then(|| normalized_slab(volume.vd_row(u, evals, now, params)));
+                        let um = um_dirty
+                            .binary_search(&u)
+                            .is_ok()
+                            .then(|| normalized_slab(user_trust.ut_row(u)));
                         // The Equation 7 blend over the *fresh* rows where
                         // dirty and the frozen rows where not — the same
                         // values `blend_row_frozen` would see after the
@@ -629,48 +623,50 @@ impl ReputationEngine {
                 });
                 partials.into_iter().flatten().collect()
             }
-        };
+        });
 
-        // Phase 3 — serial merge: fold the prebuilt slabs into the CSR
-        // overlays in ascending id order, tallying the copy-on-write
-        // publish cost (only these slabs are new bytes in the next
-        // snapshot; everything else is shared).
-        let _merge_span = obs.span("engine.recompute.merge");
-        let _merge_trace = mdrep_obs::trace_span("engine.recompute.merge");
-        let mut publish_bytes = 0usize;
+        // Serial merge: fold the prebuilt slabs into the CSR overlays in
+        // ascending id order, tallying the copy-on-write publish cost (only
+        // these slabs are new bytes in the next snapshot; everything else
+        // is shared).
         let one_step = self.params.steps() == 1;
-        for patch in patches {
-            let u = patch.user;
-            if let Some(row) = patch.fm {
-                publish_bytes += row_slab_bytes(row.len());
-                comps.fm.set_row_arc(u, row);
+        let publish_bytes = phase("engine.recompute.merge", || {
+            let mut publish_bytes = 0usize;
+            for patch in patches {
+                let u = patch.user;
+                if let Some(row) = patch.fm {
+                    publish_bytes += row_slab_bytes(row.len());
+                    comps.fm.set_row_arc(u, row);
+                }
+                if let Some(row) = patch.dm {
+                    publish_bytes += row_slab_bytes(row.len());
+                    comps.dm.set_row_arc(u, row);
+                }
+                if let Some(row) = patch.um {
+                    publish_bytes += row_slab_bytes(row.len());
+                    comps.um.set_row_arc(u, row);
+                }
+                // One slab serves both matrices on the one-step path
+                // (overlay rows are immutable), so it is priced once.
+                publish_bytes += row_slab_bytes(patch.tm.len());
+                if one_step {
+                    // RM = TM: patch both from the same blended slab.
+                    comps.tm.set_row_arc(u, Arc::clone(&patch.tm));
+                    rm.set_one_step_row_arc(u, patch.tm);
+                } else {
+                    comps.tm.set_row_arc(u, patch.tm);
+                }
             }
-            if let Some(row) = patch.dm {
-                publish_bytes += row_slab_bytes(row.len());
-                comps.dm.set_row_arc(u, row);
+            if !one_step {
+                // The power dominates the cost anyway; recompute it from the
+                // incrementally maintained TM (compacted inside
+                // `compute_csr` before the SpGEMM steps). The rebuilt RM is
+                // fresh storage.
+                rm = ReputationMatrix::compute_csr(comps.tm.clone(), &self.params);
+                publish_bytes += rm.approx_bytes();
             }
-            if let Some(row) = patch.um {
-                publish_bytes += row_slab_bytes(row.len());
-                comps.um.set_row_arc(u, row);
-            }
-            // One slab serves both matrices on the one-step path (overlay
-            // rows are immutable), so it is priced once.
-            publish_bytes += row_slab_bytes(patch.tm.len());
-            if one_step {
-                // RM = TM: patch both from the same blended slab.
-                comps.tm.set_row_arc(u, Arc::clone(&patch.tm));
-                rm.set_one_step_row_arc(u, patch.tm);
-            } else {
-                comps.tm.set_row_arc(u, patch.tm);
-            }
-        }
-        if !one_step {
-            // The power dominates the cost anyway; recompute it from the
-            // incrementally maintained TM (compacted inside `compute_csr`
-            // before the SpGEMM steps). The rebuilt RM is fresh storage.
-            rm = ReputationMatrix::compute_csr(comps.tm.clone(), &self.params);
-            publish_bytes += rm.approx_bytes();
-        }
+            publish_bytes
+        });
         self.last_publish_rows = union.len();
         self.last_publish_bytes = publish_bytes;
         Self::record_matrix_gauges(&comps.tm, &rm);
@@ -678,8 +674,14 @@ impl ReputationEngine {
         self.components = Some(comps);
     }
 
+    /// The `engine.tm.*` / `engine.rm.nnz` gauges. Each count walks the
+    /// matrices' overlays, which grow until the next full freeze, so this
+    /// is skipped outright when the registry is off.
     fn record_matrix_gauges(tm: &CsrMatrix, rm: &ReputationMatrix) {
         let obs = mdrep_obs::global();
+        if !obs.is_enabled() {
+            return;
+        }
         let rows = tm.row_count();
         obs.gauge_set("engine.tm.nnz", tm.nnz() as f64);
         if rows > 0 {
@@ -724,7 +726,7 @@ impl ReputationEngine {
     /// touched since the last recompute (time drift not yet folded in).
     #[must_use]
     pub fn pending_dirty_rows(&self) -> usize {
-        let mut union: BTreeSet<UserId> = self.file_trust.dirty().collect();
+        let mut union: BTreeSet<UserId> = self.fm_dirty.clone();
         union.extend(self.volume.dirty());
         union.extend(self.user_trust.dirty());
         for &file in &self.dirty_files {
@@ -1323,7 +1325,7 @@ mod tests {
         // invalidated — but not user 2, who shares no file. The expansion
         // from file to evaluator rows is deferred until recompute.
         engine.observe_vote(SimTime::ZERO, u(1), f(0), Evaluation::WORST);
-        assert!(engine.file_trust.dirty().next().is_none(), "deferred");
+        assert!(engine.fm_dirty.is_empty(), "deferred");
         assert_eq!(engine.pending_dirty_rows(), 2);
         engine.recompute(SimTime::ZERO);
         assert_eq!(engine.last_dirty_rows(), 2);

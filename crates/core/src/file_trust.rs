@@ -12,9 +12,9 @@
 
 use crate::eval::EvaluationStore;
 use crate::params::Params;
-use mdrep_matrix::SparseMatrix;
-use mdrep_types::{Evaluation, FileId, SimTime, UserId};
-use std::collections::{BTreeMap, BTreeSet, HashMap};
+use mdrep_matrix::{build_rows_parallel, SparseMatrix, SparseVector};
+use mdrep_types::{Evaluation, SimTime, UserId};
+use std::collections::BTreeMap;
 
 /// The per-file distance used inside Equation 2.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -100,11 +100,11 @@ impl FileTrust {
         Self::compute_with(store, now, params, FileTrustOptions::default())
     }
 
-    /// Computes Equation 2 with explicit options.
-    ///
-    /// The pair enumeration runs over the store's inverted file index:
-    /// every file contributes its evaluator pairs, so the cost is
-    /// `O(Σ_f e_f²)` where `e_f` is the (possibly capped) evaluator count.
+    /// Computes Equation 2 with explicit options: one [`ft_row`] per user,
+    /// built across [`Params::effective_threads`] workers. Rows are
+    /// independent, so any thread count yields the identical matrix. The
+    /// cost is `O(Σ_f e_f²)` where `e_f` is the (possibly capped) evaluator
+    /// count of file `f`.
     #[must_use]
     pub fn compute_with(
         store: &EvaluationStore,
@@ -112,30 +112,13 @@ impl FileTrust {
         params: &Params,
         options: FileTrustOptions,
     ) -> Self {
-        // Snapshot Equation 1 evaluations once per (user, file).
-        let mut snapshots: Snapshots = HashMap::new();
-        for user in store.users() {
-            snapshots.insert(user, store.evaluations_of(user, now, params));
-        }
-
-        // Accumulate pairwise distances over common files. Files iterate in
-        // ascending id order, so every pair's sum accumulates in the same
-        // order the dirty-row path uses — the results are bit-identical.
-        let mut acc: PairAcc = HashMap::new();
-        for file in store.files() {
-            let evaluators = capped_evaluators(store, file, options);
-            for (idx, &a) in evaluators.iter().enumerate() {
-                let ea = snapshots[&a][&file];
-                for &b in &evaluators[idx + 1..] {
-                    let eb = snapshots[&b][&file];
-                    accumulate_pair(&mut acc, options.metric, a, ea, b, eb);
-                }
-            }
-        }
-
+        let users: Vec<UserId> = store.users().collect();
+        let rows = build_rows_parallel(&users, params.effective_threads(), |u| {
+            ft_row(store, u, now, params, options)
+        });
         let mut ft = SparseMatrix::new();
-        for ((a, b), (sum, m)) in acc {
-            set_pair_trust(&mut ft, options.metric, a, b, sum, m);
+        for (u, row) in rows {
+            ft.set_row(u, row).expect("trust in [0,1]");
         }
         Self { ft }
     }
@@ -153,202 +136,57 @@ impl FileTrust {
     }
 }
 
-/// Equation 1 snapshots per user, keyed by file.
-type Snapshots = HashMap<UserId, BTreeMap<FileId, Evaluation>>;
-/// Per-pair accumulated `(distance sum, common file count)`.
-type PairAcc = HashMap<(UserId, UserId), (f64, usize)>;
-
-/// The evaluators considered for `file`, in ascending user order, truncated
-/// to the configured cap. Both the batch and the dirty-row path pair users
-/// out of exactly this prefix.
-fn capped_evaluators(
-    store: &EvaluationStore,
-    file: FileId,
-    options: FileTrustOptions,
-) -> Vec<UserId> {
-    match options.max_evaluators_per_file {
-        Some(cap) => store.evaluators_of(file).take(cap).collect(),
-        None => store.evaluators_of(file).collect(),
-    }
-}
-
-/// Adds one common file's distance to the pair accumulator.
-fn accumulate_pair(
-    acc: &mut PairAcc,
-    metric: DistanceMetric,
-    a: UserId,
-    ea: Evaluation,
-    b: UserId,
-    eb: Evaluation,
-) {
-    let d = metric.per_file(ea, eb);
-    let entry = acc.entry((a.min(b), a.max(b))).or_insert((0.0, 0));
-    entry.0 += d;
-    entry.1 += 1;
-}
-
-/// Writes one accumulated pair into `ft` (both directions; zero-trust pairs
-/// stay absent, matching the sparse Equation 2 semantics).
-fn set_pair_trust(
-    ft: &mut SparseMatrix,
-    metric: DistanceMetric,
-    a: UserId,
-    b: UserId,
-    sum: f64,
-    m: usize,
-) {
-    let trust = metric.to_trust(sum, m);
-    if trust > 0.0 {
-        // FT is symmetric: both directions get the same value.
-        ft.set(a, b, trust).expect("trust in [0,1]");
-        ft.set(b, a, trust).expect("trust in [0,1]");
-    }
-}
-
-/// Incrementally maintained Equation 2 state: the raw symmetric `FT` matrix
-/// plus the set of dirty users whose pairs must be recomputed.
+/// One row of Equation 2: `user`'s file-based trust in every co-evaluator,
+/// at `now`. Shared by the batch and dirty-row paths.
 ///
-/// The dirtying contract the engine upholds is: **whenever the trust of a
-/// pair `(i, j)` may have changed, both `i` and `j` are marked dirty.** An
-/// event touching file `f` dirties *all* current evaluators of `f` (any
-/// pair among them can change, including via the evaluator-cap prefix), and
-/// removals dirty the removed user plus its current `FT` partners. Under
-/// that contract, a pair with at least one clean endpoint is guaranteed
-/// unchanged, so [`apply_dirty`](Self::apply_dirty) only recomputes
-/// dirty–dirty pairs — from scratch, over all their common files, in the
-/// same ascending file order as the batch path, which makes the incremental
-/// result bit-identical to [`FileTrust::compute_with`].
-#[derive(Debug, Clone, Default)]
-pub struct FileTrustState {
-    ft: SparseMatrix,
-    dirty: BTreeSet<UserId>,
-}
-
-impl FileTrustState {
-    /// Creates empty state with no dirty rows.
-    #[must_use]
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// The raw symmetric `FT` matrix (Equation 2).
-    #[must_use]
-    pub fn raw(&self) -> &SparseMatrix {
-        &self.ft
-    }
-
-    /// Marks one user's pairs as needing recomputation.
-    pub fn mark_dirty(&mut self, user: UserId) {
-        self.dirty.insert(user);
-    }
-
-    /// Marks several users dirty at once.
-    pub fn mark_dirty_many(&mut self, users: impl IntoIterator<Item = UserId>) {
-        self.dirty.extend(users);
-    }
-
-    /// Marks a removed (whitewashed/expired) user dirty together with every
-    /// current `FT` partner — their pairs with `user` must be dropped.
-    pub fn mark_user_removed(&mut self, user: UserId) {
-        if let Some(row) = self.ft.row(user) {
-            let partners: Vec<UserId> = row.keys().copied().collect();
-            self.dirty.extend(partners);
+/// The row walks `user`'s files in ascending order. A file counts only when
+/// `user` sits in its capped evaluator prefix, and then pairs `user` with
+/// every other member of that prefix. Each pair's distance is taken with
+/// the lower id's evaluation first, so row `i`'s entry for `j` sums the
+/// same terms in the same order as row `j`'s entry for `i`: the matrix is
+/// exactly symmetric, and a row rebuilt alone is bit-identical to the same
+/// row of [`FileTrust::compute_with`]. Zero-trust pairs stay absent.
+#[must_use]
+pub fn ft_row(
+    store: &EvaluationStore,
+    user: UserId,
+    now: SimTime,
+    params: &Params,
+    options: FileTrustOptions,
+) -> SparseVector {
+    let cap = options.max_evaluators_per_file.unwrap_or(usize::MAX);
+    let mut acc: BTreeMap<UserId, (f64, usize)> = BTreeMap::new();
+    let mut prefix: Vec<UserId> = Vec::new();
+    for file in store.files_of(user) {
+        prefix.clear();
+        prefix.extend(store.evaluators_of(file).take(cap));
+        if prefix.binary_search(&user).is_err() {
+            continue;
         }
-        self.dirty.insert(user);
-    }
-
-    /// Number of currently dirty users.
-    #[must_use]
-    pub fn dirty_len(&self) -> usize {
-        self.dirty.len()
-    }
-
-    /// The currently dirty users, in ascending order.
-    pub fn dirty(&self) -> impl Iterator<Item = UserId> + '_ {
-        self.dirty.iter().copied()
-    }
-
-    /// Rebuilds `FT` from scratch (the batch path) and clears the dirty set.
-    pub fn full_rebuild(
-        &mut self,
-        store: &EvaluationStore,
-        now: SimTime,
-        params: &Params,
-        options: FileTrustOptions,
-    ) {
-        self.dirty.clear();
-        self.ft = FileTrust::compute_with(store, now, params, options).ft;
-    }
-
-    /// Recomputes exactly the dirty–dirty pairs in place and drains the
-    /// dirty set. Returns the processed users (ascending) so the caller can
-    /// renormalize their `FM` rows.
-    pub fn apply_dirty(
-        &mut self,
-        store: &EvaluationStore,
-        now: SimTime,
-        params: &Params,
-        options: FileTrustOptions,
-    ) -> Vec<UserId> {
-        let dirty = std::mem::take(&mut self.dirty);
-        if dirty.is_empty() {
-            return Vec::new();
-        }
-
-        // Snapshot Equation 1 only for dirty users — only dirty–dirty pairs
-        // are recomputed, and both of their endpoints are dirty.
-        let snapshots: Snapshots = dirty
-            .iter()
-            .map(|&u| (u, store.evaluations_of(u, now, params)))
-            .collect();
-
-        // Drop every dirty–dirty entry; unchanged pairs (one clean
-        // endpoint) are left alone.
-        for &i in &dirty {
-            let stale: Vec<UserId> = self
-                .ft
-                .row(i)
-                .map(|row| {
-                    row.keys()
-                        .copied()
-                        .filter(|j| *j > i && dirty.contains(j))
-                        .collect()
-                })
-                .unwrap_or_default();
-            for j in stale {
-                self.ft.remove(i, j);
-                self.ft.remove(j, i);
+        let own = store
+            .evaluation(user, file, now, params)
+            .expect("the evaluator index matches the records");
+        for &other in &prefix {
+            if other == user {
+                continue;
             }
+            let theirs = store
+                .evaluation(other, file, now, params)
+                .expect("the evaluator index matches the records");
+            let d = if user < other {
+                options.metric.per_file(own, theirs)
+            } else {
+                options.metric.per_file(theirs, own)
+            };
+            let entry = acc.entry(other).or_insert((0.0, 0));
+            entry.0 += d;
+            entry.1 += 1;
         }
-
-        // Re-accumulate over the union of the dirty users' files, ascending
-        // — the same per-pair accumulation order as the batch path.
-        let files: BTreeSet<FileId> = dirty.iter().flat_map(|&u| store.files_of(u)).collect();
-        let mut acc: PairAcc = HashMap::new();
-        for &file in &files {
-            let evaluators = capped_evaluators(store, file, options);
-            let dirty_idx: Vec<usize> = evaluators
-                .iter()
-                .enumerate()
-                .filter(|(_, u)| dirty.contains(u))
-                .map(|(i, _)| i)
-                .collect();
-            for (pos, &ia) in dirty_idx.iter().enumerate() {
-                let a = evaluators[ia];
-                let ea = snapshots[&a][&file];
-                for &ib in &dirty_idx[pos + 1..] {
-                    let b = evaluators[ib];
-                    let eb = snapshots[&b][&file];
-                    accumulate_pair(&mut acc, options.metric, a, ea, b, eb);
-                }
-            }
-        }
-        for ((a, b), (sum, m)) in acc {
-            set_pair_trust(&mut self.ft, options.metric, a, b, sum, m);
-        }
-
-        dirty.into_iter().collect()
     }
+    acc.into_iter()
+        .map(|(other, (sum, m))| (other, options.metric.to_trust(sum, m)))
+        .filter(|&(_, trust)| trust > 0.0)
+        .collect()
 }
 
 #[cfg(test)]
@@ -515,80 +353,42 @@ mod tests {
     }
 
     #[test]
-    fn state_apply_dirty_matches_batch_bitwise() {
-        let params = explicit_params();
-        let options = FileTrustOptions::default();
-        let mut store = EvaluationStore::new();
-        for file in 0..4 {
-            vote(&mut store, u(0), f(file), 0.9);
-            vote(&mut store, u(1), f(file), 0.7 + 0.05 * file as f64);
-            vote(&mut store, u(2), f(file), 0.2);
-        }
-        let mut state = FileTrustState::new();
-        state.full_rebuild(&store, SimTime::ZERO, &params, options);
-
-        // User 1 re-votes file 2 → dirty all evaluators of file 2.
-        vote(&mut store, u(1), f(2), 0.1);
-        state.mark_dirty_many(store.evaluators_of(f(2)));
-        let processed = state.apply_dirty(&store, SimTime::ZERO, &params, options);
-        assert_eq!(processed, vec![u(0), u(1), u(2)]);
-        assert_eq!(state.dirty_len(), 0);
-
-        let batch = FileTrust::compute(&store, SimTime::ZERO, &params);
-        for (r, c, v) in batch.raw().iter() {
-            assert_eq!(state.raw().get(r, c), v, "entry ({r:?},{c:?})");
-        }
-        assert_eq!(state.raw().nnz(), batch.raw().nnz());
-    }
-
-    #[test]
-    fn state_removed_user_pairs_are_dropped() {
-        let params = explicit_params();
-        let options = FileTrustOptions::default();
-        let mut store = EvaluationStore::new();
-        vote(&mut store, u(0), f(0), 0.8);
-        vote(&mut store, u(1), f(0), 0.8);
-        vote(&mut store, u(2), f(0), 0.8);
-        let mut state = FileTrustState::new();
-        state.full_rebuild(&store, SimTime::ZERO, &params, options);
-        assert!(state.raw().get(u(0), u(1)) > 0.0);
-
-        store.remove_user(u(1));
-        state.mark_user_removed(u(1));
-        state.apply_dirty(&store, SimTime::ZERO, &params, options);
-        assert_eq!(state.raw().get(u(0), u(1)), 0.0);
-        assert_eq!(state.raw().get(u(1), u(0)), 0.0);
-        assert!(state.raw().get(u(0), u(2)) > 0.0, "surviving pair kept");
-    }
-
-    #[test]
-    fn state_apply_dirty_respects_evaluator_cap() {
+    fn rows_match_batch_across_cap_prefix_shift() {
         // With cap 2, only the two lowest-id evaluators of a file pair up.
-        // A whitewash of a prefix member promotes the next user in — the
-        // dirty rule (all evaluators of the file) must catch that.
+        // Removing a prefix member promotes the next user in; every row,
+        // rebuilt alone, must equal the batch row bit for bit.
         let params = explicit_params();
         let options = FileTrustOptions {
             max_evaluators_per_file: Some(2),
             ..Default::default()
         };
         let mut store = EvaluationStore::new();
-        vote(&mut store, u(0), f(0), 0.9);
-        vote(&mut store, u(1), f(0), 0.9);
-        vote(&mut store, u(2), f(0), 0.9);
-        let mut state = FileTrustState::new();
-        state.full_rebuild(&store, SimTime::ZERO, &params, options);
-        assert_eq!(state.raw().get(u(0), u(2)), 0.0, "u2 beyond the cap");
-
-        state.mark_dirty_many(store.evaluators_of(f(0)));
-        state.mark_user_removed(u(1));
-        store.remove_user(u(1));
-        state.apply_dirty(&store, SimTime::ZERO, &params, options);
-        let batch = FileTrust::compute_with(&store, SimTime::ZERO, &params, options);
-        assert!(state.raw().get(u(0), u(2)) > 0.0, "u2 enters the prefix");
-        for (r, c, v) in batch.raw().iter() {
-            assert_eq!(state.raw().get(r, c), v);
+        for file in 0..3 {
+            vote(&mut store, u(0), f(file), 0.9);
+            vote(&mut store, u(1), f(file), 0.7 + 0.05 * file as f64);
+            vote(&mut store, u(2), f(file), 0.2);
         }
-        assert_eq!(state.raw().nnz(), batch.raw().nnz());
+        let check = |store: &EvaluationStore| {
+            let batch = FileTrust::compute_with(store, SimTime::ZERO, &params, options);
+            for user in 0..3 {
+                let row = ft_row(store, u(user), SimTime::ZERO, &params, options);
+                assert_eq!(
+                    Some(&row).filter(|r| !r.is_empty()),
+                    batch.raw().row(u(user))
+                );
+            }
+            batch
+        };
+        assert_eq!(
+            check(&store).raw().get(u(0), u(2)),
+            0.0,
+            "u2 beyond the cap"
+        );
+        store.remove_user(u(1));
+        assert!(
+            check(&store).raw().get(u(0), u(2)) > 0.0,
+            "u2 enters the prefix"
+        );
     }
 
     #[test]

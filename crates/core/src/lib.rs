@@ -75,7 +75,7 @@ pub use eval::{EvaluationRecord, EvaluationStore};
 pub use file_reputation::{
     download_decision, file_reputation, file_reputation_batch, DownloadDecision, OwnerEvaluation,
 };
-pub use file_trust::{DistanceMetric, FileTrust, FileTrustOptions, FileTrustState};
+pub use file_trust::{DistanceMetric, FileTrust, FileTrustOptions};
 pub use incentive::{ServiceDecision, ServicePolicy};
 pub use params::{Params, ParamsBuilder, ParamsError, Weights};
 pub use reputation::{ReputationMatrix, TrustTier};

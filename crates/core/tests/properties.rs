@@ -1,10 +1,11 @@
 //! Property-based tests on the reputation system's invariants.
 
+use mdrep::file_trust::ft_row;
 use mdrep::{
-    file_reputation, EvaluationStore, FileTrust, OwnerEvaluation, Params, ReputationEngine,
-    ReputationMatrix, ServicePolicy, UserTrust, Weights,
+    file_reputation, DistanceMetric, EvaluationStore, FileTrust, FileTrustOptions, OwnerEvaluation,
+    Params, ReputationEngine, ReputationMatrix, ServicePolicy, UserTrust, Weights,
 };
-use mdrep_matrix::{blend, PowerOptions, SparseMatrix};
+use mdrep_matrix::{blend, PowerOptions, SparseMatrix, SparseVector};
 use mdrep_types::{Evaluation, FileId, FileSize, SimDuration, SimTime, UserId};
 use proptest::prelude::*;
 
@@ -12,26 +13,54 @@ fn eval_strategy() -> impl Strategy<Value = Evaluation> {
     (0.0f64..=1.0).prop_map(|v| Evaluation::new(v).expect("in range"))
 }
 
-/// A small random vote table: (user, file, value).
-fn votes_strategy() -> impl Strategy<Value = Vec<(u64, u64, Evaluation)>> {
-    proptest::collection::vec((0u64..8, 0u64..10, eval_strategy()), 1..60)
+/// A row's entries with their values as bit patterns.
+fn bits(row: &SparseVector) -> Vec<(UserId, u64)> {
+    row.iter().map(|(&c, v)| (c, v.to_bits())).collect()
 }
 
 proptest! {
+    /// Equation 2 over a random vote table, under a random evaluator cap
+    /// (`0` = uncapped) and every distance metric: bounded, symmetric, no
+    /// self trust, and one matrix whatever the thread count — with every
+    /// row equal, bit for bit, to the dirty-row path's [`ft_row`].
     #[test]
-    fn file_trust_is_symmetric_and_bounded(votes in votes_strategy()) {
-        let params = Params::builder().eta(0.0).build().expect("valid");
+    fn file_trust_is_symmetric_and_bounded(
+        votes in proptest::collection::vec((0u64..24, 0u64..10, eval_strategy()), 1..120),
+        cap in 0usize..6,
+    ) {
         let mut store = EvaluationStore::new();
         for &(u, f, v) in &votes {
             store.record_vote(SimTime::ZERO, UserId::new(u), FileId::new(f), v);
         }
-        let ft = FileTrust::compute(&store, SimTime::ZERO, &params);
-        for (i, j, v) in ft.raw().iter() {
-            prop_assert!((0.0..=1.0).contains(&v));
-            prop_assert!((ft.raw().get(j, i) - v).abs() < 1e-12, "symmetry");
-            prop_assert_ne!(i, j, "no self trust");
+        let params_at = |threads| Params::builder().eta(0.0).threads(threads).build().expect("valid");
+        let params = params_at(1);
+        for metric in [DistanceMetric::L1, DistanceMetric::Euclidean, DistanceMetric::SymmetricKl] {
+            let options = FileTrustOptions {
+                metric,
+                max_evaluators_per_file: (cap > 0).then_some(cap),
+            };
+            let ft = FileTrust::compute_with(&store, SimTime::ZERO, &params, options);
+            for (i, j, v) in ft.raw().iter() {
+                prop_assert!((0.0..=1.0).contains(&v));
+                prop_assert_eq!(ft.raw().get(j, i).to_bits(), v.to_bits(), "symmetry");
+                prop_assert_ne!(i, j, "no self trust");
+            }
+            prop_assert!(ft.matrix().is_row_stochastic(1e-9));
+            for user in store.users() {
+                let row = ft_row(&store, user, SimTime::ZERO, &params, options);
+                let batch = ft.raw().row(user).cloned().unwrap_or_default();
+                prop_assert_eq!(bits(&row), bits(&batch), "{:?} row of {}", metric, user);
+            }
+            for threads in [2, 8] {
+                let parallel =
+                    FileTrust::compute_with(&store, SimTime::ZERO, &params_at(threads), options);
+                let (a, b): (Vec<_>, Vec<_>) = (
+                    ft.raw().iter().map(|(i, j, v)| (i, j, v.to_bits())).collect(),
+                    parallel.raw().iter().map(|(i, j, v)| (i, j, v.to_bits())).collect(),
+                );
+                prop_assert_eq!(a, b, "{:?} at {} threads", metric, threads);
+            }
         }
-        prop_assert!(ft.matrix().is_row_stochastic(1e-9));
     }
 
     #[test]

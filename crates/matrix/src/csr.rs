@@ -479,10 +479,22 @@ impl CsrMatrix {
         nnz
     }
 
-    /// Number of non-empty rows (overlay-aware).
+    /// Number of non-empty rows (overlay-aware). Counts without collecting
+    /// [`row_ids`](Self::row_ids): the frozen non-empty rows, corrected by
+    /// each overlay row that replaces one.
     #[must_use]
     pub fn row_count(&self) -> usize {
-        self.row_ids().len()
+        let frozen_nonempty = |pos: usize| self.storage.indptr[pos] < self.storage.indptr[pos + 1];
+        let frozen = (0..self.index.len())
+            .filter(|&pos| frozen_nonempty(pos))
+            .count();
+        self.overlay.iter().fold(frozen, |count, (id, row)| {
+            let replaced = self
+                .index
+                .position(*id)
+                .is_some_and(|pos| frozen_nonempty(pos as usize));
+            count + usize::from(!row.is_empty()) - usize::from(replaced)
+        })
     }
 
     /// Whether the matrix stores no entries.
@@ -1309,6 +1321,8 @@ mod tests {
         live.set_row(snap.row_ids()[1], SparseVector::new()); // removal
         assert!(live.shares_storage_with(&snap), "patches stay in overlay");
         assert_eq!(live.overlay_len(), 3);
+        assert_eq!(live.row_count(), snap.row_count(), "one added, one removed");
+        assert_eq!(live.row_count(), live.row_ids().len());
         assert!(live.overlay_bytes() > 0);
         let after: Vec<(UserId, UserId, f64)> = snap.iter().collect();
         assert_eq!(before, after, "snapshot must not observe patches");
@@ -1404,6 +1418,7 @@ mod tests {
         csr.set_row(u(1), SparseVector::new());
         assert_eq!(csr.get(u(1), u(0)), 0.0);
         assert_eq!(csr.row_ids(), vec![u(0)]);
+        assert_eq!(csr.row_count(), 1);
         assert_eq!(csr.nnz(), 1);
 
         // Patching a nonexistent row to empty is a no-op.
