@@ -12,10 +12,13 @@
 
 use crate::system::ReputationSystem;
 use mdrep::OwnerEvaluation;
-use mdrep_matrix::{principal_eigenvector, EigenOptions, SparseMatrix, SparseVector};
+use mdrep_matrix::{
+    principal_eigenvector, CsrMatrix, EigenOptions, SparseMatrix, SparseVector, UserIndex,
+};
 use mdrep_types::{FileId, SimTime, UserId};
 use mdrep_workload::{Catalog, EventKind, TraceEvent};
 use std::collections::HashMap;
+use std::sync::Arc;
 
 /// Configuration of the EigenTrust baseline.
 #[derive(Debug, Clone, PartialEq)]
@@ -104,9 +107,9 @@ impl EigenTrust {
     }
 
     /// The normalized local-trust matrix `C` (`c_ij = max(s−u, 0)`,
-    /// row-normalized).
+    /// row-normalized), frozen.
     #[must_use]
-    pub fn local_trust(&self) -> SparseMatrix {
+    pub fn local_trust(&self) -> CsrMatrix {
         let mut c = SparseMatrix::new();
         for (&(i, j), &(s, u)) in &self.transactions {
             if i == j {
@@ -117,7 +120,8 @@ impl EigenTrust {
                 c.set(i, j, v).expect("non-negative");
             }
         }
-        c.normalized_rows()
+        let index = Arc::new(UserIndex::from_matrices(&[&c]));
+        CsrMatrix::freeze_normalized_sharded(&index, &c, 1)
     }
 
     /// The latest global rank of `user` (0 before recompute / unranked).

@@ -9,10 +9,11 @@
 
 use crate::system::ReputationSystem;
 use mdrep::{OwnerEvaluation, Params, ReputationMatrix, TrustTier};
-use mdrep_matrix::SparseMatrix;
+use mdrep_matrix::{CsrMatrix, SparseMatrix, UserIndex};
 use mdrep_types::{FileId, FileSize, SimTime, UserId};
 use mdrep_workload::{Catalog, EventKind, TraceEvent};
 use std::collections::HashMap;
+use std::sync::Arc;
 
 /// The multi-trust hybrid over download-volume one-step trust.
 ///
@@ -60,16 +61,18 @@ impl MultiTrustHybrid {
         }
     }
 
-    /// The one-step (tier 1) matrix: row-normalized download volume.
+    /// The one-step (tier 1) matrix: row-normalized download volume,
+    /// frozen.
     #[must_use]
-    pub fn one_step(&self) -> SparseMatrix {
+    pub fn one_step(&self) -> CsrMatrix {
         let mut m = SparseMatrix::new();
         for (&(d, u), &v) in &self.volumes {
             if v > 0.0 {
                 m.set(d, u, v).expect("non-negative");
             }
         }
-        m.normalized_rows()
+        let index = Arc::new(UserIndex::from_matrices(&[&m]));
+        CsrMatrix::freeze_normalized_sharded(&index, &m, 1)
     }
 
     /// The first tier at which `i` reaches `j`, if any.
@@ -106,7 +109,7 @@ impl ReputationSystem for MultiTrustHybrid {
             .steps(self.steps)
             .build()
             .expect("steps >= 1");
-        self.rm = Some(ReputationMatrix::compute(&self.one_step(), &params));
+        self.rm = Some(ReputationMatrix::compute_csr(self.one_step(), &params));
     }
 
     /// Tier-aware reputation: a tier-`k` relationship of value `v` maps to

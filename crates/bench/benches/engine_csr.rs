@@ -1,11 +1,10 @@
-//! CSR-frozen kernels vs the legacy BTreeMap pipeline.
+//! The frozen CSR pipeline and the batched Equation 9 gather.
 //!
-//! Three groups:
+//! Four groups:
 //!
 //! - `engine_csr/recompute_400`: the full compute portion of a recompute
 //!   (normalize Eqs. 3/5/6, blend Eq. 7, power Eq. 8 with `n = 2`) at 400
-//!   users, once over `BTreeMap` storage and once over frozen CSR. CI
-//!   gates on the CSR path being ≥ 3× faster (`BENCH_csr.json`).
+//!   users over frozen CSR.
 //! - `engine_csr/pipeline_10000`: the frozen pipeline at 10 000 users for
 //!   `n = 1` (freeze + blend only) and `n = 2` (one SpGEMM step).
 //! - `engine_csr/eq9_10000`: batched Equation 9 — one 16-owner column set
@@ -17,14 +16,12 @@
 //!   tracer's "disabled = one atomic load, enabled = bounded ring push"
 //!   contract.
 //!
-//! Both pipelines are asserted equal (within representation) in the setup,
-//! so the numbers always compare identical outputs; the 1e-12 equivalence
-//! itself is property-tested in `mdrep`'s suite.
+//! The setup asserts the 400-user pipeline gives the same `RM` on one
+//! thread as on many; its equivalence with the reference `BTreeMap`
+//! kernels is property-tested in the matrix crate and in `mdrep`'s suite.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use mdrep_matrix::{
-    blend_frozen, blend_parallel, CsrMatrix, PowerOptions, SparseMatrix, UserIndex,
-};
+use mdrep_matrix::{blend_frozen, CsrMatrix, PowerOptions, SparseMatrix, UserIndex};
 use mdrep_types::UserId;
 use std::hint::black_box;
 use std::sync::Arc;
@@ -63,21 +60,6 @@ fn synth(users: u64, deg: u64, seed: u64) -> SparseMatrix {
     m
 }
 
-/// The pre-CSR compute portion of a full recompute: parallel row
-/// normalization, BTreeMap blend, BTreeMap multiply chain.
-fn btreemap_pipeline(
-    raw: &(SparseMatrix, SparseMatrix, SparseMatrix),
-    n: u32,
-    threads: usize,
-) -> SparseMatrix {
-    let (a, b, g) = WEIGHTS;
-    let fm = raw.0.normalized_rows_parallel(threads);
-    let dm = raw.1.normalized_rows_parallel(threads);
-    let um = raw.2.normalized_rows_parallel(threads);
-    let tm = blend_parallel(&[(a, &fm), (b, &dm), (g, &um)], threads).expect("valid weights");
-    tm.power(n, PowerOptions::exact())
-}
-
 /// The frozen path: shared-index normalize-on-freeze, fused CSR blend,
 /// row-chunked SpGEMM.
 fn csr_pipeline(
@@ -87,9 +69,9 @@ fn csr_pipeline(
 ) -> CsrMatrix {
     let (a, b, g) = WEIGHTS;
     let index = Arc::new(UserIndex::from_matrices(&[&raw.0, &raw.1, &raw.2]));
-    let fm = CsrMatrix::freeze_normalized_with(&index, &raw.0);
-    let dm = CsrMatrix::freeze_normalized_with(&index, &raw.1);
-    let um = CsrMatrix::freeze_normalized_with(&index, &raw.2);
+    let fm = CsrMatrix::freeze_normalized_sharded(&index, &raw.0, 1);
+    let dm = CsrMatrix::freeze_normalized_sharded(&index, &raw.1, 1);
+    let um = CsrMatrix::freeze_normalized_sharded(&index, &raw.2, 1);
     let tm = blend_frozen(&[(a, &fm), (b, &dm), (g, &um)], threads).expect("valid weights");
     tm.power(n, PowerOptions::exact(), threads)
 }
@@ -112,15 +94,15 @@ fn traced_csr_pipeline(
     };
     let fm = {
         let _s = mdrep_obs::trace_span("engine.recompute.fm_build");
-        CsrMatrix::freeze_normalized_with(&index, &raw.0)
+        CsrMatrix::freeze_normalized_sharded(&index, &raw.0, 1)
     };
     let dm = {
         let _s = mdrep_obs::trace_span("engine.recompute.dm_build");
-        CsrMatrix::freeze_normalized_with(&index, &raw.1)
+        CsrMatrix::freeze_normalized_sharded(&index, &raw.1, 1)
     };
     let um = {
         let _s = mdrep_obs::trace_span("engine.recompute.um_build");
-        CsrMatrix::freeze_normalized_with(&index, &raw.2)
+        CsrMatrix::freeze_normalized_sharded(&index, &raw.2, 1)
     };
     let tm = {
         let _s = mdrep_obs::trace_span("engine.recompute.integrate");
@@ -158,14 +140,11 @@ fn bench_recompute_400(c: &mut Criterion) {
     let t = threads();
     assert_eq!(
         csr_pipeline(&raw, 2, t),
-        btreemap_pipeline(&raw, 2, t),
-        "the two pipelines must compute the same RM"
+        csr_pipeline(&raw, 2, 1),
+        "the pipeline must compute the same RM at any thread count"
     );
     let mut group = c.benchmark_group("engine_csr/recompute_400");
     group.sample_size(10);
-    group.bench_with_input(BenchmarkId::from_parameter("btreemap"), &raw, |b, raw| {
-        b.iter(|| black_box(btreemap_pipeline(raw, 2, t)));
-    });
     group.bench_with_input(BenchmarkId::from_parameter("csr"), &raw, |b, raw| {
         b.iter(|| black_box(csr_pipeline(raw, 2, t)));
     });

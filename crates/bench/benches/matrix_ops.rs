@@ -1,68 +1,33 @@
-//! Micro-benchmarks of the sparse trust-matrix substrate: normalization,
-//! blending (Eq. 7), products/powers (Eq. 8), and the EigenTrust power
-//! iteration.
+//! Micro-benchmark of the EigenTrust power iteration over a frozen
+//! row-stochastic matrix. The other kernels are timed by `engine_csr`
+//! (normalize-on-freeze, blend, power) and `matrix_multihop` (pruned
+//! multi-hop powers).
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use mdrep_matrix::{blend, principal_eigenvector, EigenOptions, PowerOptions, SparseMatrix};
+use mdrep_matrix::{principal_eigenvector, CsrMatrix, EigenOptions, SparseMatrix, UserIndex};
 use mdrep_types::UserId;
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
 use std::hint::black_box;
+use std::sync::Arc;
 
 /// Builds a random row-stochastic matrix with `users` rows of ~`degree`
 /// entries each.
-fn random_matrix(users: u64, degree: usize, seed: u64) -> SparseMatrix {
+fn random_matrix(users: u64, degree: usize, seed: u64) -> CsrMatrix {
     let mut rng = StdRng::seed_from_u64(seed);
     let mut m = SparseMatrix::new();
     for i in 0..users {
         for _ in 0..degree {
             let j = rng.random_range(0..users);
             if i != j {
-                let _ = m.add(UserId::new(i), UserId::new(j), rng.random::<f64>() + 0.01);
+                let (r, c) = (UserId::new(i), UserId::new(j));
+                let v = m.get(r, c) + rng.random::<f64>() + 0.01;
+                m.set(r, c, v).expect("valid");
             }
         }
     }
-    m.normalized_rows()
-}
-
-fn bench_normalize(c: &mut Criterion) {
-    let mut group = c.benchmark_group("matrix/normalize");
-    for &users in &[100u64, 1000] {
-        let m = random_matrix(users, 16, 1);
-        group.bench_with_input(BenchmarkId::from_parameter(users), &m, |b, m| {
-            b.iter(|| black_box(m.normalized_rows()));
-        });
-    }
-    group.finish();
-}
-
-fn bench_blend(c: &mut Criterion) {
-    let mut group = c.benchmark_group("matrix/blend_eq7");
-    for &users in &[100u64, 1000] {
-        let fm = random_matrix(users, 16, 1);
-        let dm = random_matrix(users, 8, 2);
-        let um = random_matrix(users, 4, 3);
-        group.bench_with_input(BenchmarkId::from_parameter(users), &users, |b, _| {
-            b.iter(|| black_box(blend(&[(0.5, &fm), (0.3, &dm), (0.2, &um)]).expect("valid")));
-        });
-    }
-    group.finish();
-}
-
-fn bench_power(c: &mut Criterion) {
-    let mut group = c.benchmark_group("matrix/power_eq8");
-    group.sample_size(20);
-    for &(users, n) in &[(100u64, 2u32), (100, 3), (500, 2)] {
-        let m = random_matrix(users, 8, 4);
-        group.bench_with_input(
-            BenchmarkId::new(format!("{users}users"), n),
-            &(m, n),
-            |b, (m, n)| {
-                b.iter(|| black_box(m.power(*n, PowerOptions::pruned(1e-4))));
-            },
-        );
-    }
-    group.finish();
+    let index = Arc::new(UserIndex::from_matrices(&[&m]));
+    CsrMatrix::freeze_normalized_sharded(&index, &m, 1)
 }
 
 fn bench_eigenvector(c: &mut Criterion) {
@@ -83,39 +48,5 @@ fn bench_eigenvector(c: &mut Criterion) {
     group.finish();
 }
 
-fn bench_vector_multiply(c: &mut Criterion) {
-    let mut group = c.benchmark_group("matrix/vector_multiply");
-    for &users in &[1000u64, 5000] {
-        let m = random_matrix(users, 8, 6);
-        let v: std::collections::BTreeMap<UserId, f64> = (0..users)
-            .map(|i| (UserId::new(i), 1.0 / users as f64))
-            .collect();
-        group.bench_with_input(BenchmarkId::from_parameter(users), &(m, v), |b, (m, v)| {
-            b.iter(|| black_box(m.vector_multiply(v)));
-        });
-    }
-    group.finish();
-}
-
-fn bench_parallel_multiply(c: &mut Criterion) {
-    let mut group = c.benchmark_group("matrix/multiply_parallel");
-    group.sample_size(10);
-    let m = random_matrix(2000, 16, 7);
-    for &threads in &[1usize, 2, 4, 8] {
-        group.bench_with_input(BenchmarkId::from_parameter(threads), &threads, |b, &t| {
-            b.iter(|| black_box(m.multiply_parallel(&m, t)));
-        });
-    }
-    group.finish();
-}
-
-criterion_group!(
-    benches,
-    bench_normalize,
-    bench_blend,
-    bench_power,
-    bench_eigenvector,
-    bench_vector_multiply,
-    bench_parallel_multiply
-);
+criterion_group!(benches, bench_eigenvector);
 criterion_main!(benches);

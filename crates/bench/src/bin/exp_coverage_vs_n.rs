@@ -12,10 +12,12 @@
 
 use mdrep::{EvaluationStore, FileTrust, Params, ReputationMatrix};
 use mdrep_bench::Table;
+use mdrep_matrix::{CsrMatrix, UserIndex};
 use mdrep_types::SimTime;
 use mdrep_workload::{EventKind, TraceBuilder, WorkloadConfig};
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
+use std::sync::Arc;
 
 fn experiment() {
     let days = 10u64;
@@ -66,13 +68,15 @@ fn experiment() {
         }
         // Pure explicit: η = 0 keeps votes verbatim.
         let eta0 = Params::builder().eta(0.0).build().expect("valid");
-        let fm = FileTrust::compute(&store, end, &eta0).matrix();
+        let ft = FileTrust::compute(&store, end, &eta0);
+        let index = Arc::new(UserIndex::from_matrices(&[ft.raw()]));
+        let fm = CsrMatrix::freeze_normalized_sharded(&index, ft.raw(), 1);
         let nnz = fm.nnz();
 
         let mut row = vec![k, nnz as f64];
         for &n in &steps {
             let params = Params::builder().eta(0.0).steps(n).build().expect("valid");
-            let rm = ReputationMatrix::compute(&fm, &params);
+            let rm = ReputationMatrix::compute_csr(fm.clone(), &params);
             // Reachability within ≤ n steps: a request is covered if any
             // tier reaches it (the multi-tier service view).
             let covered = requests

@@ -21,11 +21,12 @@
 
 use mdrep::{EvaluationStore, FileTrust, Params};
 use mdrep_bench::Table;
-use mdrep_matrix::{CsrMatrix, PowerOptions, SparseMatrix};
+use mdrep_matrix::{CsrMatrix, PowerOptions, UserIndex};
 use mdrep_types::{SimTime, UserId};
 use mdrep_workload::{EventKind, TraceBuilder, WorkloadConfig};
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
+use std::sync::Arc;
 use std::time::Instant;
 
 /// Eq. 9 ranks providers by row value; drift is measured over the top 20.
@@ -40,7 +41,7 @@ fn threads() -> usize {
 
 /// Votes-only FM at `coverage` evaluation probability — the sparse
 /// one-step regime where the paper concedes multi-hop is needed.
-fn sparse_fm(trace: &mdrep_workload::Trace, end: SimTime, coverage: f64) -> SparseMatrix {
+fn sparse_fm(trace: &mdrep_workload::Trace, end: SimTime, coverage: f64) -> CsrMatrix {
     let mut rng = StdRng::seed_from_u64((coverage * 1e6) as u64 ^ 0xc0_5e);
     let mut store = EvaluationStore::new();
     for event in trace.events() {
@@ -59,16 +60,15 @@ fn sparse_fm(trace: &mdrep_workload::Trace, end: SimTime, coverage: f64) -> Spar
         }
     }
     let eta0 = Params::builder().eta(0.0).build().expect("valid");
-    FileTrust::compute(&store, end, &eta0).matrix()
+    let ft = FileTrust::compute(&store, end, &eta0);
+    let index = Arc::new(UserIndex::from_matrices(&[ft.raw()]));
+    CsrMatrix::freeze_normalized_sharded(&index, ft.raw(), 1)
 }
 
 /// The `TOP_RANK` heaviest entries of a row, ties toward the smaller id
 /// (the same order Eq. 9's provider ranking uses).
-fn top_ranked(m: &SparseMatrix, row: UserId) -> Vec<UserId> {
-    let Some(entries) = m.row(row) else {
-        return Vec::new();
-    };
-    let mut pairs: Vec<(UserId, f64)> = entries.iter().map(|(&c, &v)| (c, v)).collect();
+fn top_ranked(m: &CsrMatrix, row: UserId) -> Vec<UserId> {
+    let mut pairs: Vec<(UserId, f64)> = m.row_entries(row).collect();
     pairs.sort_unstable_by(|a, b| b.1.total_cmp(&a.1).then(a.0.cmp(&b.0)));
     pairs.truncate(TOP_RANK);
     pairs.into_iter().map(|(c, _)| c).collect()
@@ -76,7 +76,7 @@ fn top_ranked(m: &SparseMatrix, row: UserId) -> Vec<UserId> {
 
 /// Mean per-viewer overlap between `got`'s and `want`'s top-ranked sets,
 /// over viewers that rank anyone in `want`.
-fn ranking_overlap(got: &SparseMatrix, want: &SparseMatrix) -> f64 {
+fn ranking_overlap(got: &CsrMatrix, want: &CsrMatrix) -> f64 {
     let mut total = 0.0;
     let mut viewers = 0usize;
     for r in want.row_ids() {
@@ -116,22 +116,21 @@ fn experiment() {
     let trace = TraceBuilder::new(config).generate();
     let requests = trace.request_pairs();
     let end = SimTime::from_ticks(days * 86_400);
-    let tm = sparse_fm(&trace, end, 0.05);
+    let frozen = sparse_fm(&trace, end, 0.05);
     let t = threads();
     println!(
         "trace: {} users, {} requests; TM = votes-only FM at 5% coverage, {} nnz, {} threads",
         trace.population().len(),
         requests.len(),
-        tm.nnz(),
+        frozen.nnz(),
         t
     );
 
-    let frozen = CsrMatrix::freeze(&tm);
-    let exact_by_n: Vec<(u32, SparseMatrix)> = [1u32, 2]
+    let exact_by_n: Vec<(u32, CsrMatrix)> = [1u32, 2]
         .iter()
-        .map(|&n| (n, frozen.power(n, PowerOptions::exact(), t).thaw()))
+        .map(|&n| (n, frozen.power(n, PowerOptions::exact(), t)))
         .collect();
-    let exact_for = |n: u32| -> &SparseMatrix {
+    let exact_for = |n: u32| -> &CsrMatrix {
         &exact_by_n
             .iter()
             .find(|(m, _)| *m == n)
@@ -140,7 +139,7 @@ fn experiment() {
     };
 
     // Requests direct trust already covers, and the cold-start remainder.
-    let tier1_covered = |i: UserId, j: UserId| tm.get(i, j) > 0.0;
+    let tier1_covered = |i: UserId, j: UserId| frozen.get(i, j) > 0.0;
     let cold_requests: Vec<(UserId, UserId)> = requests
         .iter()
         .copied()
@@ -188,7 +187,7 @@ fn experiment() {
             best_ms = best_ms.min(start.elapsed().as_secs_f64() * 1e3);
             hop = Some(out);
         }
-        let hop = hop.expect("computed").thaw();
+        let hop = hop.expect("computed");
         let top20 = ranking_overlap(&hop, exact_for(v.n));
         let covered = requests
             .iter()

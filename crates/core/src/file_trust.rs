@@ -123,16 +123,11 @@ impl FileTrust {
         Self { ft }
     }
 
-    /// The raw symmetric `FT` matrix (Equation 2).
+    /// The raw symmetric `FT` matrix (Equation 2). Freezing it
+    /// row-normalized gives the one-step matrix `FM` (Equation 3).
     #[must_use]
     pub fn raw(&self) -> &SparseMatrix {
         &self.ft
-    }
-
-    /// The row-normalized one-step matrix `FM` (Equation 3).
-    #[must_use]
-    pub fn matrix(&self) -> SparseMatrix {
-        self.ft.normalized_rows()
     }
 }
 
@@ -192,7 +187,9 @@ pub fn ft_row(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use mdrep_matrix::{CsrMatrix, UserIndex};
     use mdrep_types::FileId;
+    use std::sync::Arc;
 
     fn u(i: u64) -> UserId {
         UserId::new(i)
@@ -265,7 +262,8 @@ mod tests {
             vote(&mut store, u(2), f(file), 0.2);
         }
         let t = FileTrust::compute(&store, SimTime::ZERO, &explicit_params());
-        let fm = t.matrix();
+        let index = Arc::new(UserIndex::from_matrices(&[t.raw()]));
+        let fm = CsrMatrix::freeze_normalized_sharded(&index, t.raw(), 1);
         assert!(fm.is_row_stochastic(1e-12));
         // User 0 trusts user 1 (similar) more than user 2 (dissimilar).
         assert!(fm.get(u(0), u(1)) > fm.get(u(0), u(2)));

@@ -219,7 +219,7 @@ impl ServicePolicy {
 mod tests {
     use super::*;
     use crate::params::Params;
-    use mdrep_matrix::SparseMatrix;
+    use mdrep_matrix::{CsrMatrix, SparseMatrix};
 
     fn u(i: u64) -> UserId {
         UserId::new(i)
@@ -259,7 +259,7 @@ mod tests {
         let mut tm = SparseMatrix::new();
         tm.set(u(0), u(1), 0.6).unwrap();
         tm.set(u(0), u(2), 0.3).unwrap();
-        let rm = crate::reputation::ReputationMatrix::compute(&tm, &Params::default());
+        let rm = ReputationMatrix::compute_csr(CsrMatrix::freeze(&tm), &Params::default());
         let policy = ServicePolicy::default();
 
         let best = policy.decide(&rm, u(0), u(1));
@@ -282,7 +282,7 @@ mod tests {
     #[test]
     fn uploader_with_no_trust_throttles_everyone() {
         let tm = SparseMatrix::new();
-        let rm = crate::reputation::ReputationMatrix::compute(&tm, &Params::default());
+        let rm = ReputationMatrix::compute_csr(CsrMatrix::freeze(&tm), &Params::default());
         let policy = ServicePolicy::default();
         let d = policy.decide(&rm, u(0), u(1));
         assert!(d.is_throttled());

@@ -7,7 +7,7 @@
 //! overlays — so does this module.
 
 use crate::params::Params;
-use mdrep_matrix::{CsrMatrix, PowerOptions, SparseMatrix, SparseVector};
+use mdrep_matrix::{CsrMatrix, PowerOptions, SparseVector};
 use mdrep_types::UserId;
 use std::fmt;
 
@@ -36,7 +36,7 @@ impl fmt::Display for TrustTier {
 ///
 /// ```
 /// use mdrep::{Params, ReputationMatrix};
-/// use mdrep_matrix::SparseMatrix;
+/// use mdrep_matrix::{CsrMatrix, SparseMatrix};
 /// use mdrep_types::UserId;
 ///
 /// // A trust chain 0 → 1 → 2 with two multi-trust steps.
@@ -45,7 +45,7 @@ impl fmt::Display for TrustTier {
 /// tm.set(UserId::new(1), UserId::new(2), 1.0)?;
 /// let params = Params::builder().steps(2).build().expect("valid");
 ///
-/// let rm = ReputationMatrix::compute(&tm, &params);
+/// let rm = ReputationMatrix::compute_csr(CsrMatrix::freeze(&tm), &params);
 /// // User 2 is reachable from 0 only at tier 2.
 /// assert_eq!(rm.tier_of(UserId::new(0), UserId::new(2)).unwrap().level, 2);
 /// # Ok::<(), mdrep_matrix::MatrixError>(())
@@ -56,17 +56,8 @@ pub struct ReputationMatrix {
 }
 
 impl ReputationMatrix {
-    /// Computes `TM^1 … TM^n` (Equation 8 keeps the final power; the
-    /// intermediate powers provide the tier view).
-    ///
-    /// Freezes the builder matrix into CSR once, then runs the contiguous
-    /// kernels — see [`Self::compute_csr`] for the frozen-input entry point.
-    #[must_use]
-    pub fn compute(tm: &SparseMatrix, params: &Params) -> Self {
-        Self::compute_csr(CsrMatrix::freeze(tm), params)
-    }
-
-    /// Computes the tiers from an already-frozen `TM`.
+    /// Computes `TM^1 … TM^n` from a frozen `TM` (Equation 8 keeps the
+    /// final power; the intermediate powers provide the tier view).
     ///
     /// The base matrix is compacted first (folding any dirty-row overlay
     /// into contiguous storage) so every SpGEMM step runs on pure
@@ -181,6 +172,7 @@ impl ReputationMatrix {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use mdrep_matrix::SparseMatrix;
 
     fn u(i: u64) -> UserId {
         UserId::new(i)
@@ -199,12 +191,16 @@ mod tests {
         Params::builder().steps(n).build().unwrap()
     }
 
+    fn compute(tm: &SparseMatrix, params: &Params) -> ReputationMatrix {
+        ReputationMatrix::compute_csr(CsrMatrix::freeze(tm), params)
+    }
+
     #[test]
     fn one_step_is_tm_itself() {
         let tm = chain();
-        let rm = ReputationMatrix::compute(&tm, &params(1));
+        let rm = compute(&tm, &params(1));
         assert_eq!(rm.steps(), 1);
-        assert_eq!(rm.matrix(), &tm);
+        assert_eq!(rm.matrix().thaw(), tm);
         assert_eq!(rm.reputation(u(0), u(1)), 1.0);
         assert_eq!(rm.reputation(u(0), u(2)), 0.0);
     }
@@ -212,7 +208,7 @@ mod tests {
     #[test]
     fn deeper_steps_extend_reach() {
         let tm = chain();
-        let rm = ReputationMatrix::compute(&tm, &params(3));
+        let rm = compute(&tm, &params(3));
         // TM³ maps 0 → 3.
         assert_eq!(rm.reputation(u(0), u(3)), 1.0);
         assert_eq!(rm.reputation(u(0), u(1)), 0.0, "mass moved past tier 1");
@@ -221,7 +217,7 @@ mod tests {
     #[test]
     fn tiers_report_the_first_hop_count() {
         let tm = chain();
-        let rm = ReputationMatrix::compute(&tm, &params(3));
+        let rm = compute(&tm, &params(3));
         assert_eq!(rm.tier_of(u(0), u(1)).unwrap().level, 1);
         assert_eq!(rm.tier_of(u(0), u(2)).unwrap().level, 2);
         assert_eq!(rm.tier_of(u(0), u(3)).unwrap().level, 3);
@@ -246,7 +242,7 @@ mod tests {
         tm.set(u(0), u(2), 0.25).unwrap();
         tm.set(u(1), u(3), 1.0).unwrap();
         tm.set(u(2), u(3), 1.0).unwrap();
-        let rm = ReputationMatrix::compute(&tm, &params(2));
+        let rm = compute(&tm, &params(2));
         assert!((rm.reputation(u(0), u(3)) - 1.0).abs() < 1e-12);
     }
 
@@ -262,7 +258,7 @@ mod tests {
             .prune_threshold(0.05)
             .build()
             .unwrap();
-        let rm = ReputationMatrix::compute(&tm, &p);
+        let rm = compute(&tm, &p);
         assert_eq!(rm.reputation(u(0), u(4)), 0.0, "weak path pruned");
         assert!(rm.reputation(u(0), u(3)) > 0.9);
     }
@@ -270,21 +266,10 @@ mod tests {
     #[test]
     fn row_max_and_coverage() {
         let tm = chain();
-        let rm = ReputationMatrix::compute(&tm, &params(1));
+        let rm = compute(&tm, &params(1));
         assert_eq!(rm.row_max(u(0)), 1.0);
         assert_eq!(rm.row_max(u(3)), 0.0, "no row means no mass");
         let cov = rm.request_coverage(&[(u(0), u(1)), (u(0), u(2))]);
         assert!((cov - 0.5).abs() < 1e-12);
-    }
-
-    #[test]
-    fn csr_entry_point_matches_builder_entry_point() {
-        let tm = chain();
-        for n in [1, 2, 3] {
-            let from_builder = ReputationMatrix::compute(&tm, &params(n));
-            let from_frozen =
-                ReputationMatrix::compute_csr(mdrep_matrix::CsrMatrix::freeze(&tm), &params(n));
-            assert_eq!(from_builder.matrix(), from_frozen.matrix());
-        }
     }
 }

@@ -5,7 +5,7 @@
 //! ordered pair is kept as `UT_ij`, and row-normalization yields the
 //! one-step matrix `UM` (Equation 6).
 
-use mdrep_matrix::{normalized_row, SparseMatrix, SparseVector};
+use mdrep_matrix::{SparseMatrix, SparseVector};
 use mdrep_types::{Evaluation, UserId};
 use std::collections::{BTreeMap, BTreeSet};
 
@@ -21,9 +21,9 @@ use std::collections::{BTreeMap, BTreeSet};
 /// let (a, b, c) = (UserId::new(0), UserId::new(1), UserId::new(2));
 /// ut.add_friend(a, b);          // friend list → trust 1
 /// ut.add_blacklist(a, c);       // blacklist → trust 0
-/// let um = ut.matrix();
-/// assert_eq!(um.get(a, b), 1.0);
-/// assert_eq!(um.get(a, c), 0.0);
+/// let ut_matrix = ut.raw();
+/// assert_eq!(ut_matrix.get(a, b), 1.0);
+/// assert_eq!(ut_matrix.get(a, c), 0.0);
 /// ```
 #[derive(Debug, Clone, Default)]
 pub struct UserTrust {
@@ -140,7 +140,8 @@ impl UserTrust {
             .unwrap_or_default()
     }
 
-    /// The raw `UT` matrix.
+    /// The raw `UT` matrix. Freezing it row-normalized gives the one-step
+    /// matrix `UM` (Equation 6).
     #[must_use]
     pub fn raw(&self) -> SparseMatrix {
         let mut ut = SparseMatrix::new();
@@ -149,26 +150,23 @@ impl UserTrust {
         }
         ut
     }
-
-    /// Equation 6: the row-normalized one-step matrix `UM`.
-    #[must_use]
-    pub fn matrix(&self) -> SparseMatrix {
-        let mut um = SparseMatrix::new();
-        for &rater in self.ratings.keys() {
-            if let Some(row) = normalized_row(&self.ut_row(rater)) {
-                um.set_row(rater, row).expect("normalized rows are valid");
-            }
-        }
-        um
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use mdrep_matrix::{normalize_row_mut, CsrMatrix, UserIndex};
+    use std::sync::Arc;
 
     fn u(i: u64) -> UserId {
         UserId::new(i)
+    }
+
+    /// Equation 6: `UT` frozen row-normalized into `UM`.
+    fn um(ut: &UserTrust) -> CsrMatrix {
+        let raw = ut.raw();
+        let index = Arc::new(UserIndex::from_matrices(&[&raw]));
+        CsrMatrix::freeze_normalized_sharded(&index, &raw, 1)
     }
 
     #[test]
@@ -202,7 +200,7 @@ mod tests {
         let mut ut = UserTrust::new();
         ut.rate(u(0), u(1), Evaluation::new(0.6).unwrap());
         ut.rate(u(0), u(2), Evaluation::new(0.2).unwrap());
-        let um = ut.matrix();
+        let um = um(&ut);
         assert!(um.is_row_stochastic(1e-12));
         assert!((um.get(u(0), u(1)) - 0.75).abs() < 1e-12);
         assert!((um.get(u(0), u(2)) - 0.25).abs() < 1e-12);
@@ -213,7 +211,7 @@ mod tests {
         let mut ut = UserTrust::new();
         ut.add_friend(u(0), u(1));
         ut.add_blacklist(u(0), u(2));
-        let um = ut.matrix();
+        let um = um(&ut);
         assert_eq!(um.get(u(0), u(1)), 1.0);
         assert_eq!(um.get(u(0), u(2)), 0.0);
     }
@@ -223,7 +221,7 @@ mod tests {
         let mut ut = UserTrust::new();
         ut.add_friend(u(0), u(1));
         ut.add_blacklist(u(0), u(1));
-        assert_eq!(ut.matrix().get(u(0), u(1)), 0.0);
+        assert_eq!(um(&ut).get(u(0), u(1)), 0.0);
     }
 
     #[test]
@@ -262,8 +260,10 @@ mod tests {
         ut.add_blacklist(u(0), u(3));
         let row = ut.ut_row(u(0));
         assert_eq!(row.len(), 2, "blacklist entry absent");
-        let um = ut.matrix();
-        assert_eq!(um.row(u(0)), normalized_row(&row).as_ref());
+        let mut normalized = row.clone();
+        assert!(normalize_row_mut(&mut normalized));
+        let batch: SparseVector = um(&ut).row_entries(u(0)).collect();
+        assert_eq!(batch, normalized);
     }
 
     #[test]
@@ -271,7 +271,7 @@ mod tests {
         let mut ut = UserTrust::new();
         ut.add_blacklist(u(0), u(1));
         ut.add_blacklist(u(0), u(2));
-        let um = ut.matrix();
+        let um = um(&ut);
         assert!(um.is_empty());
     }
 }

@@ -9,7 +9,7 @@
 
 use crate::eval::EvaluationStore;
 use crate::params::Params;
-use mdrep_matrix::{build_rows_parallel, normalized_row, SparseMatrix, SparseVector};
+use mdrep_matrix::{build_rows_parallel, SparseMatrix, SparseVector};
 use mdrep_types::{FileId, FileSize, SimTime, UserId};
 use std::collections::{BTreeMap, BTreeSet};
 
@@ -32,7 +32,7 @@ use std::collections::{BTreeMap, BTreeSet};
 /// // After a week of retention the evaluation saturates at 1,
 /// // so VD_ab = 1.0 · 100 MiB.
 /// let week = SimTime::ZERO + SimDuration::from_days(7);
-/// let vd = volume.raw(&evals, week, &params);
+/// let vd = volume.raw_parallel(&evals, week, &params, 1);
 /// assert!((vd.get(a, b) - 100.0).abs() < 1e-9);
 /// ```
 #[derive(Debug, Clone, Default)]
@@ -152,16 +152,12 @@ impl VolumeTrust {
         row
     }
 
-    /// Equation 4: the raw `VD` matrix at `now`. File sizes enter in MiB so
-    /// magnitudes stay well-conditioned; evaluations come from the store
-    /// (files the downloader no longer has a record for contribute nothing).
-    #[must_use]
-    pub fn raw(&self, evals: &EvaluationStore, now: SimTime, params: &Params) -> SparseMatrix {
-        self.raw_parallel(evals, now, params, 1)
-    }
-
-    /// [`raw`](Self::raw) built across `threads` OS threads (rows are
-    /// independent, so any thread count yields the identical matrix).
+    /// Equation 4: the raw `VD` matrix at `now`, built across `threads` OS
+    /// threads (rows are independent, so any thread count yields the
+    /// identical matrix). File sizes enter in MiB so magnitudes stay
+    /// well-conditioned; evaluations come from the store (files the
+    /// downloader no longer has a record for contribute nothing). Freezing
+    /// it row-normalized gives the one-step matrix `DM` (Equation 5).
     #[must_use]
     pub fn raw_parallel(
         &self,
@@ -179,39 +175,14 @@ impl VolumeTrust {
         }
         vd
     }
-
-    /// Equation 5: the row-normalized one-step matrix `DM`.
-    #[must_use]
-    pub fn matrix(&self, evals: &EvaluationStore, now: SimTime, params: &Params) -> SparseMatrix {
-        self.matrix_parallel(evals, now, params, 1)
-    }
-
-    /// [`matrix`](Self::matrix) built across `threads` OS threads (rows are
-    /// independent, so any thread count yields the identical matrix).
-    #[must_use]
-    pub fn matrix_parallel(
-        &self,
-        evals: &EvaluationStore,
-        now: SimTime,
-        params: &Params,
-        threads: usize,
-    ) -> SparseMatrix {
-        let rows: Vec<UserId> = self.downloads.keys().copied().collect();
-        let built = build_rows_parallel(&rows, threads, |r| {
-            normalized_row(&self.vd_row(r, evals, now, params)).unwrap_or_default()
-        });
-        let mut dm = SparseMatrix::new();
-        for (r, row) in built {
-            dm.set_row(r, row).expect("normalized rows are valid");
-        }
-        dm
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use mdrep_matrix::{normalize_row_mut, CsrMatrix, UserIndex};
     use mdrep_types::{Evaluation, SimDuration};
+    use std::sync::Arc;
 
     fn u(i: u64) -> UserId {
         UserId::new(i)
@@ -240,7 +211,7 @@ mod tests {
         evals.record_vote(SimTime::ZERO, u(0), f(1), Evaluation::new(0.5).unwrap());
         vt.record_download(u(0), u(1), f(1), FileSize::from_mib(50));
 
-        let vd = vt.raw(&evals, SimTime::ZERO, &params);
+        let vd = vt.raw_parallel(&evals, SimTime::ZERO, &params, 1);
         assert!((vd.get(u(0), u(1)) - 125.0).abs() < 1e-9);
     }
 
@@ -251,7 +222,7 @@ mod tests {
         evals.record_download(SimTime::ZERO, u(0), f(0));
         evals.record_vote(SimTime::ZERO, u(0), f(0), Evaluation::WORST);
         vt.record_download(u(0), u(1), f(0), FileSize::from_mib(700));
-        let vd = vt.raw(&evals, SimTime::ZERO, &params);
+        let vd = vt.raw_parallel(&evals, SimTime::ZERO, &params, 1);
         assert_eq!(vd.get(u(0), u(1)), 0.0);
         assert!(vd.is_empty());
     }
@@ -266,7 +237,9 @@ mod tests {
             evals.record_vote(SimTime::ZERO, u(0), file, Evaluation::BEST);
             vt.record_download(u(0), u(uploader), file, FileSize::from_mib(mib));
         }
-        let dm = vt.matrix(&evals, SimTime::ZERO, &params);
+        let vd = vt.raw_parallel(&evals, SimTime::ZERO, &params, 1);
+        let index = Arc::new(UserIndex::from_matrices(&[&vd]));
+        let dm = CsrMatrix::freeze_normalized_sharded(&index, &vd, 1);
         assert!(dm.is_row_stochastic(1e-12));
         assert!((dm.get(u(0), u(1)) - 0.75).abs() < 1e-12);
         assert!((dm.get(u(0), u(2)) - 0.25).abs() < 1e-12);
@@ -285,7 +258,7 @@ mod tests {
         vt.record_download(u(0), u(1), f(0), FileSize::from_mib(100));
 
         let week = SimTime::ZERO + SimDuration::from_days(7);
-        let vd = vt.raw(&evals, week, &params);
+        let vd = vt.raw_parallel(&evals, week, &params, 1);
         let expected = (1.0 / (7.0 * 24.0)) * 100.0; // held 1h of 7 days
         assert!(
             (vd.get(u(0), u(1)) - expected).abs() < 1e-6,
@@ -305,7 +278,9 @@ mod tests {
         assert_eq!(vt.pair_count(), 2);
         vt.remove_user(u(1));
         assert_eq!(vt.pair_count(), 0);
-        assert!(vt.raw(&evals, SimTime::ZERO, &params).is_empty());
+        assert!(vt
+            .raw_parallel(&evals, SimTime::ZERO, &params, 1)
+            .is_empty());
     }
 
     #[test]
@@ -316,7 +291,7 @@ mod tests {
         evals.record_vote(SimTime::ZERO, u(0), f(0), Evaluation::BEST);
         vt.record_download(u(0), u(1), f(0), FileSize::from_mib(10));
         vt.record_download(u(0), u(1), f(0), FileSize::from_mib(10));
-        let vd = vt.raw(&evals, SimTime::ZERO, &params);
+        let vd = vt.raw_parallel(&evals, SimTime::ZERO, &params, 1);
         assert!((vd.get(u(0), u(1)) - 20.0).abs() < 1e-9);
     }
 
@@ -338,7 +313,7 @@ mod tests {
     }
 
     #[test]
-    fn vd_row_and_parallel_matrix_match_batch() {
+    fn vd_row_and_parallel_raw_match_batch() {
         let (mut evals, params) = setup();
         let mut vt = VolumeTrust::new();
         for i in 0..20u64 {
@@ -352,13 +327,17 @@ mod tests {
             );
             vt.record_download(u(i % 5), u(10 + i % 3), file, FileSize::from_mib(5 + i));
         }
-        let serial = vt.matrix(&evals, SimTime::ZERO, &params);
-        let parallel = vt.matrix_parallel(&evals, SimTime::ZERO, &params, 4);
+        let serial = vt.raw_parallel(&evals, SimTime::ZERO, &params, 1);
+        let parallel = vt.raw_parallel(&evals, SimTime::ZERO, &params, 4);
         assert_eq!(serial, parallel);
+        let index = Arc::new(UserIndex::from_matrices(&[&serial]));
+        let dm = CsrMatrix::freeze_normalized_sharded(&index, &serial, 1);
         for r in serial.row_ids() {
-            let row = vt.vd_row(r, &evals, SimTime::ZERO, &params);
-            let normalized = mdrep_matrix::normalized_row(&row).unwrap();
-            assert_eq!(serial.row(r), Some(&normalized), "shared row helper");
+            let mut row = vt.vd_row(r, &evals, SimTime::ZERO, &params);
+            assert_eq!(serial.row(r), Some(&row), "shared row helper");
+            assert!(normalize_row_mut(&mut row));
+            let batch: SparseVector = dm.row_entries(r).collect();
+            assert_eq!(batch, row, "dirty-row normalization matches the freeze");
         }
     }
 
@@ -369,6 +348,8 @@ mod tests {
         let (evals, params) = setup();
         let mut vt = VolumeTrust::new();
         vt.record_download(u(0), u(1), f(0), FileSize::from_mib(10));
-        assert!(vt.raw(&evals, SimTime::ZERO, &params).is_empty());
+        assert!(vt
+            .raw_parallel(&evals, SimTime::ZERO, &params, 1)
+            .is_empty());
     }
 }

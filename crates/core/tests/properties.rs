@@ -1,16 +1,26 @@
 //! Property-based tests on the reputation system's invariants.
 
+#[path = "../../matrix/tests/oracle/mod.rs"]
+mod oracle;
+
 use mdrep::file_trust::ft_row;
 use mdrep::{
     file_reputation, DistanceMetric, EvaluationStore, FileTrust, FileTrustOptions, OwnerEvaluation,
     Params, ReputationEngine, ReputationMatrix, ServicePolicy, UserTrust, Weights,
 };
-use mdrep_matrix::{blend, PowerOptions, SparseMatrix, SparseVector};
+use mdrep_matrix::{CsrMatrix, PowerOptions, SparseMatrix, SparseVector, UserIndex};
 use mdrep_types::{Evaluation, FileId, FileSize, SimDuration, SimTime, UserId};
 use proptest::prelude::*;
+use std::sync::Arc;
 
 fn eval_strategy() -> impl Strategy<Value = Evaluation> {
     (0.0f64..=1.0).prop_map(|v| Evaluation::new(v).expect("in range"))
+}
+
+/// `raw` frozen row-normalized under its own index (Equations 3/5/6).
+fn normalized(raw: &SparseMatrix) -> CsrMatrix {
+    let index = Arc::new(UserIndex::from_matrices(&[raw]));
+    CsrMatrix::freeze_normalized_sharded(&index, raw, 1)
 }
 
 /// A row's entries with their values as bit patterns.
@@ -45,7 +55,7 @@ proptest! {
                 prop_assert_eq!(ft.raw().get(j, i).to_bits(), v.to_bits(), "symmetry");
                 prop_assert_ne!(i, j, "no self trust");
             }
-            prop_assert!(ft.matrix().is_row_stochastic(1e-9));
+            prop_assert!(normalized(ft.raw()).is_row_stochastic(1e-9));
             for user in store.users() {
                 let row = ft_row(&store, user, SimTime::ZERO, &params, options);
                 let batch = ft.raw().row(user).cloned().unwrap_or_default();
@@ -72,7 +82,7 @@ proptest! {
         for &(j, v) in &entries {
             tm.set(UserId::new(0), UserId::new(j), v).expect("valid");
         }
-        let rm = ReputationMatrix::compute(&tm, &Params::default());
+        let rm = ReputationMatrix::compute_csr(CsrMatrix::freeze(&tm), &Params::default());
         let owner_evals: Vec<OwnerEvaluation> = evals
             .iter()
             .map(|&(j, v)| OwnerEvaluation::new(UserId::new(j), Evaluation::new(v).expect("ok")))
@@ -104,7 +114,7 @@ proptest! {
         for &(r, t, v) in &ratings {
             ut.rate(UserId::new(r), UserId::new(t), v);
         }
-        prop_assert!(ut.matrix().is_row_stochastic(1e-9));
+        prop_assert!(normalized(&ut.raw()).is_row_stochastic(1e-9));
     }
 
     #[test]
@@ -189,11 +199,11 @@ proptest! {
         }
     }
 
-    /// The CSR tentpole contract: on an arbitrary interleaved event stream,
-    /// the frozen path — normalize-on-freeze, `blend_frozen`, the SpGEMM
-    /// power, and the batched Eq. 9 row-gather — agrees with the legacy
-    /// `SparseMatrix` kernels within 1e-12, and the frozen one-step
-    /// matrices thaw back to exactly what was frozen.
+    /// The CSR contract: on an arbitrary interleaved event stream, the
+    /// frozen path — normalize-on-freeze, `blend_frozen`, the SpGEMM power,
+    /// and the batched Eq. 9 row-gather — agrees with the reference
+    /// `BTreeMap` kernels of the test oracle within 1e-12, and the frozen
+    /// one-step matrices thaw back to exactly what was frozen.
     #[test]
     fn csr_kernels_match_btreemap_path(
         ops in proptest::collection::vec(
@@ -238,14 +248,13 @@ proptest! {
         let fm = comps.fm.thaw();
         let dm = comps.dm.thaw();
         let um = comps.um.thaw();
-        prop_assert_eq!(&comps.fm, &fm, "FM freeze/thaw round-trip");
-        prop_assert_eq!(&comps.dm, &dm, "DM freeze/thaw round-trip");
-        prop_assert_eq!(&comps.um, &um, "UM freeze/thaw round-trip");
+        prop_assert_eq!(&CsrMatrix::freeze(&fm), &comps.fm, "FM freeze/thaw round-trip");
+        prop_assert_eq!(&CsrMatrix::freeze(&dm), &comps.dm, "DM freeze/thaw round-trip");
+        prop_assert_eq!(&CsrMatrix::freeze(&um), &comps.um, "UM freeze/thaw round-trip");
 
         // Eq. 7 blend: fused CSR kernel vs the BTreeMap kernel.
         let w = params.weights();
-        let tm_ref = blend(&[(w.alpha(), &fm), (w.beta(), &dm), (w.gamma(), &um)])
-            .expect("validated weights");
+        let tm_ref = oracle::blend(&[(w.alpha(), &fm), (w.beta(), &dm), (w.gamma(), &um)]);
         prop_assert_eq!(comps.tm.nnz(), tm_ref.nnz(), "blend support");
         for (i, j, v) in comps.tm.iter() {
             prop_assert!((tm_ref.get(i, j) - v).abs() <= 1e-12,
@@ -258,7 +267,7 @@ proptest! {
         } else {
             PowerOptions::exact()
         };
-        let rm_ref = tm_ref.power(steps, options);
+        let rm_ref = oracle::power(&tm_ref, steps, options);
         let rm = engine.reputation_matrix().expect("computed");
         prop_assert_eq!(rm.matrix().nnz(), rm_ref.nnz(), "power support");
         for (i, j, v) in rm.matrix().iter() {
@@ -316,7 +325,11 @@ fn csr_empty_engine_edge_cases() {
     let comps = engine.components().expect("computed");
     assert_eq!(comps.tm.nnz(), 0);
     assert!(comps.tm.is_empty());
-    assert_eq!(&comps.tm, &comps.tm.thaw(), "empty freeze/thaw round-trip");
+    assert_eq!(
+        CsrMatrix::freeze(&comps.tm.thaw()),
+        comps.tm,
+        "empty freeze/thaw round-trip"
+    );
     let rm = engine.reputation_matrix().expect("computed");
     assert_eq!(rm.row_max(UserId::new(0)), 0.0);
     let evals = [OwnerEvaluation::new(UserId::new(1), Evaluation::BEST)];

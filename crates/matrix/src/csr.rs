@@ -1,27 +1,28 @@
-//! Frozen compressed-sparse-row (CSR) trust matrices.
+//! Frozen compressed-sparse-row (CSR) trust matrices — the one
+//! representation every kernel computes on.
 //!
-//! [`SparseMatrix`] is the *mutable builder*: `BTreeMap` rows make event
-//! ingestion and dirty-row patching cheap, but every multiply or query pays
-//! pointer chasing and per-node allocation. This module adds the *compute
-//! representation* the hot paths read from instead: user ids are interned
-//! into dense `u32` positions by a [`UserIndex`], and the matrix is frozen
-//! into three contiguous arrays (`indptr`/`cols`/`vals`) so that
+//! [`SparseMatrix`] is the *row builder*: raw trust scores are collected
+//! into its `BTreeMap` rows. A [`UserIndex`] interns user ids into dense
+//! `u32` positions, and the builder is frozen once into three contiguous
+//! arrays (`indptr`/`cols`/`vals`) that the kernels read:
 //!
 //! - row normalization (Equations 3/5/6) fuses into the freeze itself
-//!   ([`CsrMatrix::freeze_normalized_with`]),
+//!   ([`CsrMatrix::freeze_normalized_sharded`]),
 //! - the Equation 7 blend runs as a k-way scaled merge over row slices
 //!   ([`blend_frozen`]),
 //! - the Equation 8 power `RM = TM^n` runs as a row-chunked parallel SpGEMM
-//!   with a reused dense accumulator per worker ([`CsrMatrix::power`]), and
+//!   with a reused dense accumulator per worker ([`CsrMatrix::power`]),
+//! - EigenTrust's power iteration walks the frozen rows
+//!   ([`principal_eigenvector`](crate::principal_eigenvector)), and
 //! - batched Equation 9 queries gather one file's owner columns across many
 //!   viewer rows without materializing a `BTreeMap` per row
 //!   ([`CsrMatrix::column_set`] / [`CsrMatrix::gather_row`]).
 //!
-//! Every kernel performs its floating-point additions in exactly the order
-//! the `BTreeMap` path does (ascending user id, parts in caller order), so
-//! frozen results are **bit-identical** to [`SparseMatrix::multiply`],
-//! [`blend`](crate::blend), and [`normalized_row`] — the equivalence
-//! contracts of the incremental recompute keep holding on the CSR path.
+//! Every kernel performs its floating-point additions in one fixed order —
+//! ascending user id, blend parts in caller order — so results do not
+//! depend on the thread or shard count, and the dirty-row helpers
+//! ([`blend_row_frozen`], [`normalize_row_mut`](crate::normalize_row_mut))
+//! rebuild a row bit-identically to the batch kernels.
 //!
 //! # Overlay
 //!
@@ -33,7 +34,7 @@
 //! contiguous storage by [`CsrMatrix::compact`], which the engine triggers
 //! on the next full freeze (and before any multi-step power).
 
-use crate::ops::{validate_blend_weights_by_value, BlendError, PowerOptions};
+use crate::ops::{validate_blend_weights, BlendError, PowerOptions};
 use crate::sparse::{SparseMatrix, SparseVector};
 use mdrep_types::UserId;
 use std::collections::BTreeMap;
@@ -45,8 +46,7 @@ type CsrRow = (u32, Vec<u32>, Vec<f64>);
 /// Interns [`UserId`]s into dense `u32` positions (and back).
 ///
 /// The ids are kept sorted, so position order equals id order — frozen rows
-/// iterate columns in exactly the order `BTreeMap` rows do, which is what
-/// keeps CSR kernels bit-identical to the builder path.
+/// iterate columns in ascending user id, exactly as the builder's rows do.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct UserIndex {
     ids: Vec<UserId>,
@@ -144,9 +144,10 @@ impl ColumnSet {
 /// A frozen, index-interned CSR matrix with an optional per-row overlay.
 ///
 /// Freeze a [`SparseMatrix`] with [`freeze`](Self::freeze) (or
-/// [`freeze_normalized_with`](Self::freeze_normalized_with) to fuse the
-/// Equation 3/5/6 row normalization into the same pass), run the contiguous
-/// kernels, and [`thaw`](Self::thaw) back when a mutable builder is needed.
+/// [`freeze_normalized_sharded`](Self::freeze_normalized_sharded) to fuse
+/// the Equation 3/5/6 row normalization into the same pass), run the
+/// contiguous kernels, and [`thaw`](Self::thaw) back when a builder is
+/// needed.
 ///
 /// # Examples
 ///
@@ -204,41 +205,23 @@ impl CsrMatrix {
     /// Freezes `m` under its own (row ∪ column) index.
     #[must_use]
     pub fn freeze(m: &SparseMatrix) -> Self {
-        Self::freeze_with(&Arc::new(UserIndex::from_matrices(&[m])), m)
+        Self::freeze_rows(&Arc::new(UserIndex::from_matrices(&[m])), m, 1, false)
     }
 
-    /// Freezes `m` under a shared `index`, which must intern every row and
-    /// column id of `m` (build it with [`UserIndex::from_matrices`]).
+    /// Fused freeze + Equation 3/5/6 row normalization under a shared
+    /// `index`, which must intern every row and column id of `m` (build it
+    /// with [`UserIndex::from_matrices`]). Every frozen row is scaled to
+    /// sum 1 in the same pass; zero-sum rows cannot occur in a validated
+    /// [`SparseMatrix`], which never stores zeros.
     ///
-    /// # Panics
-    ///
-    /// Panics when `m` references an id missing from `index`.
-    #[must_use]
-    pub fn freeze_with(index: &Arc<UserIndex>, m: &SparseMatrix) -> Self {
-        Self::freeze_impl(index, m, false)
-    }
-
-    /// Fused freeze + Equation 3/5/6 row normalization: every frozen row is
-    /// scaled to sum 1 in the same pass (zero-sum rows cannot occur in a
-    /// validated [`SparseMatrix`], which never stores zeros). Bit-identical
-    /// to freezing [`SparseMatrix::normalized_rows`], without building the
-    /// intermediate `BTreeMap` matrix.
-    ///
-    /// # Panics
-    ///
-    /// Panics when `m` references an id missing from `index`.
-    #[must_use]
-    pub fn freeze_normalized_with(index: &Arc<UserIndex>, m: &SparseMatrix) -> Self {
-        Self::freeze_impl(index, m, true)
-    }
-
-    /// Sharded counterpart of [`freeze_normalized_with`](Self::freeze_normalized_with):
-    /// the row space is partitioned into `shards` contiguous position
-    /// ranges and each shard's rows are frozen by its own worker thread,
-    /// then stitched back in range order. Row normalization is per-row
-    /// (each row's sum is computed over that row alone), so the output is
-    /// **bit-identical** to the serial freeze at any shard count — this is
-    /// the kernel the sharded engine's full rebuild runs per shard.
+    /// The row space is partitioned into `shards` contiguous position
+    /// ranges and each range is frozen by its own worker thread, then
+    /// stitched back in range order. Each row's sum is taken over that row
+    /// alone in ascending column order — the order
+    /// [`normalize_row_mut`](crate::normalize_row_mut) uses — so the output
+    /// is **bit-identical** at any shard count, and to a dirty row
+    /// normalized on its own. This is the kernel the engine's full rebuild
+    /// runs.
     ///
     /// # Panics
     ///
@@ -251,98 +234,72 @@ impl CsrMatrix {
         shards: usize,
     ) -> Self {
         assert!(shards >= 1, "at least one shard is required");
+        Self::freeze_rows(index, m, shards, true)
+    }
+
+    /// The one freeze loop. Each worker freezes one contiguous range of
+    /// interned positions into `(row starts, cols, vals)`, the starts
+    /// relative to the range's first entry. A single range (one shard, or
+    /// too few rows to split) runs on the calling thread and its arrays
+    /// become the matrix's storage as they are, with no second copy.
+    fn freeze_rows(
+        index: &Arc<UserIndex>,
+        m: &SparseMatrix,
+        shards: usize,
+        normalize: bool,
+    ) -> Self {
+        type Part = (Vec<usize>, Vec<u32>, Vec<f64>);
         let n = index.len();
-        if shards == 1 || n < 2 * shards {
-            return Self::freeze_impl(index, m, true);
-        }
-        let ranges = shard_ranges(n, shards);
-        // Each worker freezes one contiguous range of interned positions:
-        // (per-row column/value arrays + per-row lengths). Per-row sums are
-        // computed inside the worker exactly as the serial pass does.
-        type ShardPart = (Vec<usize>, Vec<u32>, Vec<f64>);
-        let worker = |range: std::ops::Range<usize>| -> ShardPart {
-            let ids = &index.ids()[range.clone()];
-            let mut lens = Vec::with_capacity(ids.len());
-            let mut cols = Vec::new();
-            let mut vals = Vec::new();
+        let nnz = m.nnz();
+        let worker = |range: std::ops::Range<usize>, capacity: usize| -> Part {
+            let ids = &index.ids()[range];
+            let mut starts = Vec::with_capacity(ids.len() + 1);
+            let mut cols = Vec::with_capacity(capacity);
+            let mut vals = Vec::with_capacity(capacity);
             for &id in ids {
-                let before = vals.len();
-                if let Some(row) = m.row(id) {
-                    let sum: f64 = row.values().sum();
-                    debug_assert!(sum > 0.0, "validated matrices store no zero rows");
-                    for (&c, &v) in row {
-                        cols.push(index.position(c).expect("column id interned in index"));
-                        vals.push(v / sum);
-                    }
+                starts.push(vals.len());
+                let Some(row) = m.row(id) else { continue };
+                // Dividing by 1.0 is exact, so the unnormalized freeze
+                // stores every value bit for bit.
+                let scale: f64 = if normalize { row.values().sum() } else { 1.0 };
+                debug_assert!(scale > 0.0, "validated matrices store no zero rows");
+                for (&c, &v) in row {
+                    cols.push(index.position(c).expect("column id interned in index"));
+                    vals.push(v / scale);
                 }
-                lens.push(vals.len() - before);
             }
-            (lens, cols, vals)
+            (starts, cols, vals)
         };
-        let worker = &worker;
-        let parts: Vec<ShardPart> = std::thread::scope(|scope| {
-            let handles: Vec<_> = ranges
-                .into_iter()
-                .map(|range| scope.spawn(move || worker(range)))
-                .collect();
-            handles
-                .into_iter()
-                .map(|h| h.join().expect("freeze shard panicked"))
-                .collect()
-        });
-        // Stitch in shard order = ascending position order: prefix-sum the
-        // per-row lengths into the global indptr, then concatenate the
-        // entry arrays.
-        let nnz: usize = parts.iter().map(|(_, c, _)| c.len()).sum();
-        let mut indptr = vec![0usize; n + 1];
-        let mut cols = Vec::with_capacity(nnz);
-        let mut vals = Vec::with_capacity(nnz);
-        let mut pos = 0usize;
-        let mut offset = 0usize;
-        for (lens, part_cols, part_vals) in parts {
-            for len in lens {
-                indptr[pos] = offset;
-                offset += len;
-                pos += 1;
-            }
+        let parts: Vec<Part> = if shards == 1 || n < 2 * shards {
+            vec![worker(0..n, nnz)]
+        } else {
+            let worker = &worker;
+            std::thread::scope(|scope| {
+                let handles: Vec<_> = shard_ranges(n, shards)
+                    .into_iter()
+                    .map(|range| scope.spawn(move || worker(range, 0)))
+                    .collect();
+                handles
+                    .into_iter()
+                    .map(|h| h.join().expect("freeze shard panicked"))
+                    .collect()
+            })
+        };
+        // Stitch in range order = ascending position order, offsetting
+        // each range's row starts by the entries before it.
+        let mut parts = parts.into_iter();
+        let (mut indptr, mut cols, mut vals) = parts.next().expect("at least one range");
+        indptr.reserve_exact((n + 1).saturating_sub(indptr.len()));
+        cols.reserve_exact(nnz.saturating_sub(cols.len()));
+        vals.reserve_exact(nnz.saturating_sub(vals.len()));
+        for (starts, part_cols, part_vals) in parts {
+            let offset = vals.len();
+            indptr.extend(starts.into_iter().map(|s| s + offset));
             cols.extend(part_cols);
             vals.extend(part_vals);
         }
-        debug_assert_eq!(pos, n);
-        debug_assert_eq!(offset, vals.len());
-        indptr[n] = vals.len();
-        assert_eq!(cols.len(), m.nnz(), "index must intern every row id of m");
-        Self {
-            index: Arc::clone(index),
-            storage: Arc::new(CsrStorage { indptr, cols, vals }),
-            overlay: BTreeMap::new(),
-        }
-    }
-
-    fn freeze_impl(index: &Arc<UserIndex>, m: &SparseMatrix, normalize: bool) -> Self {
-        let n = index.len();
-        let nnz = m.nnz();
-        let mut indptr = vec![0usize; n + 1];
-        let mut cols = Vec::with_capacity(nnz);
-        let mut vals = Vec::with_capacity(nnz);
-        for (pos, &id) in index.ids().iter().enumerate() {
-            indptr[pos] = vals.len();
-            let Some(row) = m.row(id) else { continue };
-            let scale = if normalize {
-                // Same accumulation order as `normalized_row`: ascending
-                // column id — bit-identical sums.
-                let sum: f64 = row.values().sum();
-                debug_assert!(sum > 0.0, "validated matrices store no zero rows");
-                sum
-            } else {
-                1.0
-            };
-            for (&c, &v) in row {
-                cols.push(index.position(c).expect("column id interned in index"));
-                vals.push(if normalize { v / scale } else { v });
-            }
-        }
-        indptr[n] = vals.len();
+        indptr.push(vals.len());
+        debug_assert_eq!(indptr.len(), n + 1);
         assert_eq!(cols.len(), nnz, "index must intern every row id of m");
         Self {
             index: Arc::clone(index),
@@ -357,7 +314,7 @@ impl CsrMatrix {
         &self.index
     }
 
-    /// Thaws back into a mutable [`SparseMatrix`] (overlay folded in).
+    /// Thaws back into a [`SparseMatrix`] builder (overlay folded in).
     #[must_use]
     pub fn thaw(&self) -> SparseMatrix {
         let mut out = SparseMatrix::new();
@@ -504,7 +461,7 @@ impl CsrMatrix {
     }
 
     /// Sum of the entries of `row` (0.0 for a missing row), accumulated in
-    /// ascending column order like [`SparseMatrix::row_sum`].
+    /// ascending column order.
     #[must_use]
     pub fn row_sum(&self, row: UserId) -> f64 {
         self.row_entries(row).map(|(_, v)| v).sum()
@@ -682,10 +639,9 @@ impl CsrMatrix {
     /// set (the fan-out screen) and to every accumulated product row,
     /// with ties at the k-boundary breaking toward the smaller column
     /// position; selection is a per-row pure function of the operands,
-    /// so output is bit-identical at any thread count.
-    /// Without pruning, bit-identical to `SparseMatrix::multiply` on the
-    /// thawed operands: rows accumulate in ascending `k` order, and each
-    /// output entry starts from `0.0` exactly like `entry().or_insert(0.0)`.
+    /// so output is bit-identical at any thread count. Every output entry
+    /// starts from `0.0` and accumulates its terms in ascending `k`, and
+    /// renormalization sums in ascending column order.
     ///
     /// # Panics
     ///
@@ -726,14 +682,13 @@ impl CsrMatrix {
                 let (a_cols, a_vals) = self.base_row(r);
                 if let Some(cap) = options.top_k {
                     // Fan-out cap: the hop propagates through at most the
-                    // `cap` most-trusted intermediaries. `prune_row_fused`'s
-                    // rule applied to the input row — ε-filter, partial
-                    // select with the same total order, renormalize in
-                    // ascending column order — so the screened terms match
-                    // the BTreeMap path's bit-for-bit. This is where the
-                    // pruned step beats the exact one on *work*, not just
-                    // output size: per-row products drop from
-                    // `deg_a · deg_b` to `cap · deg_b`.
+                    // `cap` most-trusted intermediaries. The fused rule
+                    // applied to the input row — ε-filter, partial select
+                    // with the output's total order, renormalize in
+                    // ascending column order. This is where the pruned
+                    // step beats the exact one on *work*, not just output
+                    // size: per-row products drop from `deg_a · deg_b` to
+                    // `cap · deg_b`.
                     screen.clear();
                     for (&c, &v) in a_cols.iter().zip(a_vals) {
                         if options.prune_threshold == 0.0 || v >= options.prune_threshold {
@@ -747,15 +702,13 @@ impl CsrMatrix {
                         screen.truncate(cap);
                     }
                     screen.sort_unstable_by_key(|&(c, _)| c);
-                    if options.renormalize {
-                        let sum: f64 = screen.iter().map(|&(_, v)| v).sum();
-                        if sum > 0.0 {
-                            for e in &mut screen {
-                                e.1 /= sum;
-                            }
-                        } else {
-                            screen.clear();
+                    let sum: f64 = screen.iter().map(|&(_, v)| v).sum();
+                    if sum > 0.0 {
+                        for e in &mut screen {
+                            e.1 /= sum;
                         }
+                    } else {
+                        screen.clear();
                     }
                     for &(k, a_rk) in &screen {
                         if a_rk == 0.0 {
@@ -829,8 +782,7 @@ impl CsrMatrix {
                     for &c in &touched {
                         let v = scratch[c as usize];
                         scratch[c as usize] = 0.0;
-                        // Exact zeros are dropped (matching
-                        // `vector_multiply`'s retain) and, when pruning,
+                        // Exact zeros are dropped and, when pruning,
                         // sub-threshold entries too.
                         if v != 0.0
                             && (options.prune_threshold == 0.0 || v >= options.prune_threshold)
@@ -841,9 +793,9 @@ impl CsrMatrix {
                     }
                 }
                 touched.clear();
-                if options.is_pruning() && options.renormalize && !row_vals.is_empty() {
-                    // Ascending-column sum order, matching the BTreeMap
-                    // path's ascending-id normalization bit-for-bit.
+                if options.is_pruning() && !row_vals.is_empty() {
+                    // Ascending-column sum order, like every other row
+                    // normalization.
                     let sum: f64 = row_vals.iter().sum();
                     if sum > 0.0 {
                         for v in &mut row_vals {
@@ -928,11 +880,10 @@ impl CsrMatrix {
     /// When `options` prunes, powers are computed iteratively
     /// (`((TM·TM)·TM)·…`) because pruning *between* hops is the semantics —
     /// each hop's sparsity bound feeds the next. Exact powers with `n >= 4`
-    /// use exponentiation by squaring (O(log n) multiplies); its schedule is
-    /// mirrored operation-for-operation by [`SparseMatrix::power`] so the
-    /// two paths stay bit-identical. Exact `n <= 3` keeps the iterative
-    /// left-associated order both for the same mirroring reason and so
-    /// historical bench baselines stay comparable.
+    /// use exponentiation by squaring (O(log n) multiplies: result · square,
+    /// squares built left to right). Exact `n <= 3` keeps the iterative
+    /// left-associated order so historical bench baselines stay
+    /// comparable.
     ///
     /// # Panics
     ///
@@ -957,10 +908,9 @@ impl CsrMatrix {
             }
             return acc;
         }
-        // Exact n >= 4: binary exponentiation. The result/square schedule
-        // below is mirrored byte-for-byte by `SparseMatrix::power` — both
-        // paths perform the same multiplies in the same association order,
-        // keeping the ≤1e-12 equivalence contract exact (bit-identical).
+        // Exact n >= 4: binary exponentiation. The association order is
+        // part of the result's bits; the reference power in the test
+        // oracle follows the same schedule.
         let mut result: Option<Self> = None;
         let mut square = base;
         let mut e = n;
@@ -998,31 +948,32 @@ impl PartialEq for CsrMatrix {
     }
 }
 
-impl PartialEq<SparseMatrix> for CsrMatrix {
-    fn eq(&self, other: &SparseMatrix) -> bool {
-        let mut a = self.iter();
-        let mut b = other.iter();
-        loop {
-            match (a.next(), b.next()) {
-                (None, None) => return true,
-                (Some(x), Some(y)) if x == y => {}
-                _ => return false,
-            }
-        }
-    }
-}
-
-impl PartialEq<CsrMatrix> for SparseMatrix {
-    fn eq(&self, other: &CsrMatrix) -> bool {
-        other == self
-    }
-}
-
 /// Equation 7 on frozen operands: `TM = Σ wᵢ·Mᵢ`, row-partitioned across
 /// `threads` workers with a dense accumulator per worker. All parts must be
-/// compact and share one index. Bit-identical to [`blend`](crate::blend) on
-/// the thawed parts (per output entry, contributions accumulate in `parts`
-/// order starting from `0.0`).
+/// compact and share one index. Per output entry, contributions accumulate
+/// in `parts` order starting from `0.0`, so the result is bit-identical at
+/// any thread count and [`blend_row_frozen`] reproduces any one row.
+///
+/// # Examples
+///
+/// ```
+/// use mdrep_matrix::{blend_frozen, CsrMatrix, SparseMatrix, UserIndex};
+/// use mdrep_types::UserId;
+/// use std::sync::Arc;
+///
+/// let (a, b, c) = (UserId::new(0), UserId::new(1), UserId::new(2));
+/// let mut fm = SparseMatrix::new();
+/// fm.set(a, b, 1.0)?;
+/// let mut dm = SparseMatrix::new();
+/// dm.set(a, c, 1.0)?;
+/// let index = Arc::new(UserIndex::from_matrices(&[&fm, &dm]));
+/// let fm = CsrMatrix::freeze_normalized_sharded(&index, &fm, 1);
+/// let dm = CsrMatrix::freeze_normalized_sharded(&index, &dm, 1);
+/// let tm = blend_frozen(&[(0.7, &fm), (0.3, &dm)], 1).expect("valid weights");
+/// assert_eq!(tm.get(a, b), 0.7);
+/// assert_eq!(tm.get(a, c), 0.3);
+/// # Ok::<(), Box<dyn std::error::Error>>(())
+/// ```
 ///
 /// # Errors
 ///
@@ -1033,7 +984,7 @@ impl PartialEq<CsrMatrix> for SparseMatrix {
 /// Panics if `threads == 0`, a part is not compact, or indices differ.
 pub fn blend_frozen(parts: &[(f64, &CsrMatrix)], threads: usize) -> Result<CsrMatrix, BlendError> {
     assert!(threads >= 1, "at least one thread is required");
-    validate_blend_weights_by_value(parts.iter().map(|(w, _)| *w))?;
+    validate_blend_weights(parts.iter().map(|(w, _)| *w))?;
     let first = parts.first().expect("validated weights are non-empty").1;
     for (_, m) in parts {
         assert!(m.is_compact(), "blend parts must be compact");
@@ -1143,9 +1094,13 @@ pub fn blend_row_frozen(parts: &[(f64, &CsrMatrix)], row: UserId) -> SparseVecto
 }
 
 #[cfg(test)]
+#[path = "../tests/oracle/mod.rs"]
+mod oracle;
+
+#[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{blend, normalized_row};
+    use crate::normalize_row_mut;
 
     fn u(i: u64) -> UserId {
         UserId::new(i)
@@ -1169,6 +1124,44 @@ mod tests {
         m
     }
 
+    /// Builds a matrix from `(row, col, value)` triples.
+    fn matrix(entries: &[(u64, u64, f64)]) -> SparseMatrix {
+        let mut m = SparseMatrix::new();
+        for &(r, c, v) in entries {
+            m.set(u(r), u(c), v).unwrap();
+        }
+        m
+    }
+
+    /// The 3-user chain 0 → 1 → 2 (row-stochastic), frozen.
+    fn chain() -> CsrMatrix {
+        CsrMatrix::freeze(&matrix(&[(0, 1, 1.0), (1, 2, 1.0), (2, 2, 1.0)]))
+    }
+
+    /// Normalize-on-freeze under a shared index over `ms`, one per input.
+    fn freeze_normalized_all(ms: &[&SparseMatrix]) -> Vec<CsrMatrix> {
+        let index = Arc::new(UserIndex::from_matrices(ms));
+        ms.iter()
+            .map(|m| CsrMatrix::freeze_normalized_sharded(&index, m, 1))
+            .collect()
+    }
+
+    /// `m` row-normalized (by the reference kernel) and frozen.
+    fn frozen_stochastic(m: &SparseMatrix) -> (SparseMatrix, CsrMatrix) {
+        let norm = oracle::normalized_rows(m);
+        let csr = CsrMatrix::freeze(&norm);
+        (norm, csr)
+    }
+
+    /// Bit-for-bit equality of two matrices' entries.
+    fn assert_bits_eq(a: &CsrMatrix, b: &SparseMatrix, what: &str) {
+        let (a, b): (Vec<_>, Vec<_>) = (
+            a.iter().map(|(r, c, v)| (r, c, v.to_bits())).collect(),
+            b.iter().map(|(r, c, v)| (r, c, v.to_bits())).collect(),
+        );
+        assert_eq!(a, b, "{what}");
+    }
+
     #[test]
     fn index_interns_sorted_unique() {
         let idx = UserIndex::from_ids([u(5), u(1), u(5), u(3)]);
@@ -1188,8 +1181,7 @@ mod tests {
         assert_eq!(csr.thaw(), m);
         assert_eq!(csr.nnz(), m.nnz());
         assert_eq!(csr.row_count(), m.row_count());
-        assert_eq!(csr, m, "PartialEq<SparseMatrix>");
-        assert_eq!(m, csr, "symmetric comparison");
+        assert_bits_eq(&csr, &m, "the unnormalized freeze stores values as-is");
     }
 
     #[test]
@@ -1217,34 +1209,47 @@ mod tests {
     #[test]
     fn freeze_with_sparse_index_gaps() {
         // Rows 2 and 7 only; index carries extra ids that stay empty.
-        let mut m = SparseMatrix::new();
-        m.set(u(2), u(7), 1.0).unwrap();
-        m.set(u(7), u(2), 2.0).unwrap();
+        let m = matrix(&[(2, 7, 1.0), (7, 2, 2.0)]);
         let index = Arc::new(UserIndex::from_ids([u(0), u(2), u(5), u(7), u(9)]));
-        let csr = CsrMatrix::freeze_with(&index, &m);
+        let csr = CsrMatrix::freeze_normalized_sharded(&index, &m, 1);
         assert_eq!(csr.get(u(2), u(7)), 1.0);
-        assert_eq!(csr.get(u(7), u(2)), 2.0);
+        assert_eq!(csr.get(u(7), u(2)), 1.0);
         assert_eq!(csr.get(u(5), u(2)), 0.0);
         assert_eq!(csr.row_ids(), vec![u(2), u(7)]);
-        assert_eq!(csr.thaw(), m);
+        assert_eq!(csr.thaw(), oracle::normalized_rows(&m));
+    }
+
+    #[test]
+    fn normalized_rows_are_stochastic() {
+        let m = matrix(&[(0, 1, 2.0), (0, 2, 6.0), (1, 0, 5.0)]);
+        let n = &freeze_normalized_all(&[&m])[0];
+        assert!(n.is_row_stochastic(1e-12));
+        assert_eq!(n.get(u(0), u(1)), 0.25);
+        assert_eq!(n.get(u(0), u(2)), 0.75);
+        assert_eq!(n.get(u(1), u(0)), 1.0);
     }
 
     #[test]
     fn fused_normalize_matches_normalized_rows() {
         let m = synth(50, 6, 11);
-        let index = Arc::new(UserIndex::from_matrices(&[&m]));
-        let fused = CsrMatrix::freeze_normalized_with(&index, &m);
-        let reference = m.normalized_rows();
-        assert_eq!(fused, reference, "bit-identical normalization");
+        let fused = &freeze_normalized_all(&[&m])[0];
+        assert_bits_eq(fused, &oracle::normalized_rows(&m), "bit-identical");
         assert!(fused.is_row_stochastic(1e-12));
+        // A dirty row normalized on its own equals the batch row.
+        for r in m.row_ids() {
+            let mut row = m.row(r).unwrap().clone();
+            assert!(normalize_row_mut(&mut row));
+            let batch: SparseVector = fused.row_entries(r).collect();
+            assert_eq!(row, batch, "row {r}");
+        }
     }
 
     #[test]
     fn sharded_freeze_is_bit_identical_to_serial() {
         let m = synth(97, 6, 77);
         let index = Arc::new(UserIndex::from_matrices(&[&m]));
-        let serial = CsrMatrix::freeze_normalized_with(&index, &m);
-        for shards in [1, 2, 3, 4, 7, 16, 200] {
+        let serial = CsrMatrix::freeze_normalized_sharded(&index, &m, 1);
+        for shards in [2, 3, 4, 7, 16, 200] {
             let sharded = CsrMatrix::freeze_normalized_sharded(&index, &m, shards);
             assert_eq!(
                 sharded.storage.indptr, serial.storage.indptr,
@@ -1260,12 +1265,9 @@ mod tests {
 
     #[test]
     fn sharded_freeze_handles_index_gaps_and_empty() {
-        let mut m = SparseMatrix::new();
-        m.set(u(2), u(7), 3.0).unwrap();
-        m.set(u(7), u(2), 2.0).unwrap();
-        m.set(u(7), u(7), 2.0).unwrap();
+        let m = matrix(&[(2, 7, 3.0), (7, 2, 2.0), (7, 7, 2.0)]);
         let index = Arc::new(UserIndex::from_ids([u(0), u(2), u(5), u(7), u(9)]));
-        let serial = CsrMatrix::freeze_normalized_with(&index, &m);
+        let serial = CsrMatrix::freeze_normalized_sharded(&index, &m, 1);
         let sharded = CsrMatrix::freeze_normalized_sharded(&index, &m, 3);
         assert_eq!(sharded.storage.indptr, serial.storage.indptr);
         assert_eq!(sharded, serial);
@@ -1277,6 +1279,14 @@ mod tests {
             4,
         );
         assert!(empty.is_empty());
+    }
+
+    #[test]
+    #[should_panic(expected = "intern every row id")]
+    fn freeze_rejects_an_index_missing_rows() {
+        let m = matrix(&[(0, 1, 1.0), (3, 1, 1.0)]);
+        let index = Arc::new(UserIndex::from_ids([u(0), u(1)]));
+        let _ = CsrMatrix::freeze_normalized_sharded(&index, &m, 1);
     }
 
     #[test]
@@ -1334,20 +1344,76 @@ mod tests {
     }
 
     #[test]
+    fn multiply_matches_hand_computation() {
+        // A = [[0,1],[1,0]] (swap), A·A = I over the occupied rows.
+        let a = CsrMatrix::freeze(&matrix(&[(0, 1, 1.0), (1, 0, 1.0)]));
+        let sq = a.multiply_step(&a, PowerOptions::exact(), 1);
+        assert_eq!(sq.get(u(0), u(0)), 1.0);
+        assert_eq!(sq.get(u(1), u(1)), 1.0);
+        assert_eq!(sq.get(u(0), u(1)), 0.0);
+    }
+
+    #[test]
+    fn power_one_is_identity_operation() {
+        let m = chain();
+        assert_eq!(m.power(1, PowerOptions::exact(), 1), m);
+    }
+
+    #[test]
+    fn power_extends_reach_along_paths() {
+        let m = chain();
+        // One step: 0 reaches 1 only.
+        assert_eq!(m.get(u(0), u(2)), 0.0);
+        // Two steps: 0 reaches 2 through 1.
+        let m2 = m.power(2, PowerOptions::exact(), 1);
+        assert_eq!(m2.get(u(0), u(2)), 1.0);
+        assert_eq!(m2.get(u(0), u(1)), 0.0);
+    }
+
+    #[test]
+    fn power_of_stochastic_matrix_stays_stochastic() {
+        let m = CsrMatrix::freeze(&matrix(&[
+            (0, 0, 0.2),
+            (0, 1, 0.8),
+            (1, 0, 0.6),
+            (1, 1, 0.4),
+        ]));
+        for n in 1..=5 {
+            assert!(
+                m.power(n, PowerOptions::exact(), 1).is_row_stochastic(1e-9),
+                "power {n}"
+            );
+        }
+    }
+
+    #[test]
+    fn pruned_power_stays_stochastic_when_renormalizing() {
+        // A dense-ish matrix with small entries.
+        let mut raw = SparseMatrix::new();
+        for i in 0..8u64 {
+            for j in 0..8u64 {
+                raw.set(u(i), u(j), 1.0 + ((i * 7 + j * 3) % 5) as f64)
+                    .unwrap();
+            }
+        }
+        let m = &freeze_normalized_all(&[&raw])[0];
+        let p = m.power(3, PowerOptions::pruned(0.05), 1);
+        assert!(p.is_row_stochastic(1e-9));
+        assert!(p.nnz() <= m.power(3, PowerOptions::exact(), 1).nnz());
+    }
+
+    #[test]
     fn power_matches_btreemap_power() {
-        let m = synth(60, 5, 13).normalized_rows();
-        let csr = CsrMatrix::freeze(&m);
+        let (m, csr) = frozen_stochastic(&synth(60, 5, 13));
         for n in 1..=3 {
             let frozen = csr.power(n, PowerOptions::exact(), 1);
-            let reference = m.power(n, PowerOptions::exact());
-            assert_eq!(frozen, reference, "n = {n}");
+            assert_bits_eq(&frozen, &oracle::power(&m, n, PowerOptions::exact()), "n");
         }
     }
 
     #[test]
     fn parallel_power_matches_serial() {
-        let m = synth(80, 6, 17).normalized_rows();
-        let csr = CsrMatrix::freeze(&m);
+        let (_, csr) = frozen_stochastic(&synth(80, 6, 17));
         let serial = csr.power(2, PowerOptions::exact(), 1);
         for threads in [2, 4, 7] {
             assert_eq!(csr.power(2, PowerOptions::exact(), threads), serial);
@@ -1356,54 +1422,96 @@ mod tests {
 
     #[test]
     fn pruned_power_matches_btreemap() {
-        let m = synth(40, 8, 19).normalized_rows();
-        let csr = CsrMatrix::freeze(&m);
+        let (m, csr) = frozen_stochastic(&synth(40, 8, 19));
         let frozen = csr.power(3, PowerOptions::pruned(0.02), 2);
-        let reference = m.power(3, PowerOptions::pruned(0.02));
-        assert_eq!(frozen, reference);
+        let reference = oracle::power(&m, 3, PowerOptions::pruned(0.02));
+        assert_eq!(frozen.thaw(), reference);
         assert!(frozen.is_row_stochastic(1e-9));
     }
 
     #[test]
+    fn blend_weighted_sum() {
+        let parts = freeze_normalized_all(&[
+            &matrix(&[(0, 1, 1.0)]),
+            &matrix(&[(0, 1, 0.5), (0, 2, 0.5), (1, 0, 1.0)]),
+        ]);
+        let out = blend_frozen(&[(0.4, &parts[0]), (0.6, &parts[1])], 1).unwrap();
+        assert!((out.get(u(0), u(1)) - 0.7).abs() < 1e-12);
+        assert!((out.get(u(0), u(2)) - 0.3).abs() < 1e-12);
+        assert!((out.get(u(1), u(0)) - 0.6).abs() < 1e-12);
+    }
+
+    #[test]
+    fn blend_preserves_row_stochasticity() {
+        // Blending row-stochastic matrices with convex weights stays
+        // row-stochastic when all matrices cover the same rows.
+        let parts = freeze_normalized_all(&[
+            &matrix(&[(0, 1, 0.5), (0, 2, 0.5)]),
+            &matrix(&[(0, 2, 1.0)]),
+        ]);
+        let out = blend_frozen(&[(0.5, &parts[0]), (0.5, &parts[1])], 1).unwrap();
+        assert!(out.is_row_stochastic(1e-12));
+    }
+
+    #[test]
+    fn blend_with_three_dimensions_matches_equation_seven() {
+        // α·FM + β·DM + γ·UM with hand-computed output.
+        let parts = freeze_normalized_all(&[
+            &matrix(&[(0, 1, 1.0)]),
+            &matrix(&[(0, 1, 1.0)]),
+            &matrix(&[(0, 2, 1.0)]),
+        ]);
+        let tm = blend_frozen(&[(0.5, &parts[0]), (0.3, &parts[1]), (0.2, &parts[2])], 1).unwrap();
+        assert!((tm.get(u(0), u(1)) - 0.8).abs() < 1e-12);
+        assert!((tm.get(u(0), u(2)) - 0.2).abs() < 1e-12);
+    }
+
+    #[test]
+    fn blend_rejects_bad_weights() {
+        let m = CsrMatrix::freeze(&SparseMatrix::new());
+        assert!(blend_frozen(&[], 1).is_err());
+        assert!(blend_frozen(&[(0.5, &m)], 1).is_err(), "must sum to one");
+        assert!(
+            blend_frozen(&[(-0.5, &m), (1.5, &m)], 1).is_err(),
+            "negative weight"
+        );
+        assert!(blend_frozen(&[(f64::NAN, &m), (1.0, &m)], 1).is_err());
+        let err = blend_frozen(&[(0.2, &m)], 1).unwrap_err();
+        assert!(err.to_string().contains("0.2"));
+    }
+
+    #[test]
     fn blend_frozen_matches_blend() {
-        let a = synth(40, 4, 23).normalized_rows();
-        let b = synth(40, 4, 29).normalized_rows();
-        let c = synth(40, 4, 31).normalized_rows();
-        let index = Arc::new(UserIndex::from_matrices(&[&a, &b, &c]));
-        let fa = CsrMatrix::freeze_with(&index, &a);
-        let fb = CsrMatrix::freeze_with(&index, &b);
-        let fc = CsrMatrix::freeze_with(&index, &c);
-        let reference = blend(&[(0.5, &a), (0.3, &b), (0.2, &c)]).unwrap();
+        let raw = [synth(40, 4, 23), synth(40, 4, 29), synth(40, 4, 31)];
+        let frozen = freeze_normalized_all(&[&raw[0], &raw[1], &raw[2]]);
+        let norm: Vec<SparseMatrix> = raw.iter().map(oracle::normalized_rows).collect();
+        let reference = oracle::blend(&[(0.5, &norm[0]), (0.3, &norm[1]), (0.2, &norm[2])]);
         for threads in [1, 3] {
-            let frozen = blend_frozen(&[(0.5, &fa), (0.3, &fb), (0.2, &fc)], threads).unwrap();
-            assert_eq!(frozen, reference, "{threads} threads");
+            let tm = blend_frozen(
+                &[(0.5, &frozen[0]), (0.3, &frozen[1]), (0.2, &frozen[2])],
+                threads,
+            )
+            .unwrap();
+            assert_bits_eq(&tm, &reference, "blend");
         }
-        assert!(blend_frozen(&[(0.5, &fa)], 1).is_err(), "weights checked");
     }
 
     #[test]
     fn blend_row_frozen_matches_batch() {
-        let a = synth(20, 3, 37).normalized_rows();
-        let b = synth(20, 3, 41).normalized_rows();
-        let index = Arc::new(UserIndex::from_matrices(&[&a, &b]));
-        let fa = CsrMatrix::freeze_with(&index, &a);
-        let fb = CsrMatrix::freeze_with(&index, &b);
-        let whole = blend_frozen(&[(0.6, &fa), (0.4, &fb)], 1).unwrap();
+        let frozen = freeze_normalized_all(&[&synth(20, 3, 37), &synth(20, 3, 41)]);
+        let parts = [(0.6, &frozen[0]), (0.4, &frozen[1])];
+        let whole = blend_frozen(&parts, 1).unwrap();
         for r in whole.row_ids() {
-            let row = blend_row_frozen(&[(0.6, &fa), (0.4, &fb)], r);
+            let row = blend_row_frozen(&parts, r);
             let batch: SparseVector = whole.row_entries(r).collect();
             assert_eq!(row, batch, "row {r}");
         }
-        assert!(blend_row_frozen(&[(0.6, &fa), (0.4, &fb)], u(999)).is_empty());
+        assert!(blend_row_frozen(&parts, u(999)).is_empty());
     }
 
     #[test]
     fn overlay_patches_and_masks_rows() {
-        let mut m = SparseMatrix::new();
-        m.set(u(0), u(1), 0.5).unwrap();
-        m.set(u(0), u(2), 0.5).unwrap();
-        m.set(u(1), u(0), 1.0).unwrap();
-        let mut csr = CsrMatrix::freeze(&m);
+        let mut csr = CsrMatrix::freeze(&matrix(&[(0, 1, 0.5), (0, 2, 0.5), (1, 0, 1.0)]));
 
         // Replace row 0, referencing a brand-new user 9.
         let patch: SparseVector = [(u(9), 1.0)].into_iter().collect();
@@ -1443,7 +1551,7 @@ mod tests {
         reference.set_row(u(4), patch).unwrap();
         assert_eq!(csr.thaw(), reference);
         assert_eq!(csr.nnz(), reference.nnz());
-        assert_eq!(csr.row_sum(u(4)), reference.row_sum(u(4)));
+        assert_eq!(csr.row_sum(u(4)), 1.0);
     }
 
     #[test]
@@ -1455,11 +1563,7 @@ mod tests {
 
     #[test]
     fn gather_row_reads_owner_columns() {
-        let mut m = SparseMatrix::new();
-        m.set(u(0), u(1), 0.75).unwrap();
-        m.set(u(0), u(2), 0.25).unwrap();
-        m.set(u(3), u(1), 1.0).unwrap();
-        let mut csr = CsrMatrix::freeze(&m);
+        let mut csr = CsrMatrix::freeze(&matrix(&[(0, 1, 0.75), (0, 2, 0.25), (3, 1, 1.0)]));
         let set = csr.column_set(&[u(2), u(1), u(7)]);
         assert_eq!(set.len(), 3);
         assert!(!set.is_empty());
@@ -1482,8 +1586,9 @@ mod tests {
         let m = synth(25, 4, 53);
         let csr = CsrMatrix::freeze(&m);
         for r in m.row_ids() {
-            assert!((csr.row_sum(r) - m.row_sum(r)).abs() < 1e-15);
-            let max = m.row(r).unwrap().values().fold(0.0f64, |a, &b| a.max(b));
+            let row = m.row(r).unwrap();
+            assert_eq!(csr.row_sum(r), row.values().sum::<f64>());
+            let max = row.values().fold(0.0f64, |a, &b| a.max(b));
             assert_eq!(csr.row_max(r), max);
         }
         assert_eq!(csr.row_sum(u(999)), 0.0);
@@ -1493,81 +1598,144 @@ mod tests {
     }
 
     #[test]
-    fn request_coverage_matches_builder() {
-        let m = synth(20, 3, 59);
-        let csr = CsrMatrix::freeze(&m);
-        let requests: Vec<(UserId, UserId)> =
-            (0..30).map(|i| (u(i % 20), u((i * 7) % 20))).collect();
-        assert_eq!(
-            csr.request_coverage(&requests),
-            m.request_coverage(&requests)
-        );
+    fn request_coverage_counts_covered_pairs() {
+        let csr = CsrMatrix::freeze(&matrix(&[(0, 1, 0.4)]));
+        let requests = vec![(u(0), u(1)), (u(1), u(0)), (u(0), u(2)), (u(0), u(1))];
+        // 2 of 4 requests hit the (0,1) edge.
+        assert!((csr.request_coverage(&requests) - 0.5).abs() < 1e-12);
     }
 
     #[test]
     fn power_compacts_overlay_first() {
-        let m = synth(30, 4, 61).normalized_rows();
-        let mut csr = CsrMatrix::freeze(&m);
+        let (m, mut csr) = frozen_stochastic(&synth(30, 4, 61));
         let mut reference = m.clone();
-        let patch = normalized_row(&[(u(1), 3.0), (u(2), 1.0)].into_iter().collect()).unwrap();
+        let mut patch: SparseVector = [(u(1), 3.0), (u(2), 1.0)].into_iter().collect();
+        assert!(normalize_row_mut(&mut patch));
         csr.set_row(u(0), patch.clone());
         reference.set_row(u(0), patch).unwrap();
         let frozen = csr.power(2, PowerOptions::exact(), 2);
-        let expected = reference.power(2, PowerOptions::exact());
-        assert_eq!(frozen, expected);
+        let expected = oracle::power(&reference, 2, PowerOptions::exact());
+        assert_eq!(frozen.thaw(), expected);
     }
 
     #[test]
     fn equality_is_semantic_not_structural() {
         let m = synth(10, 3, 67);
-        let a = CsrMatrix::freeze(&m);
+        let a = &freeze_normalized_all(&[&m])[0];
         // Same entries, wider index.
         let wide = Arc::new(UserIndex::from_ids(
             (0..40).map(u).chain(a.index().ids().iter().copied()),
         ));
-        let b = CsrMatrix::freeze_with(&wide, &m);
-        assert_eq!(a, b);
+        let b = CsrMatrix::freeze_normalized_sharded(&wide, &m, 1);
+        assert_eq!(a, &b);
         let mut c = b.clone();
         c.set_row(u(0), SparseVector::new());
-        assert_ne!(a, c);
+        assert_ne!(a, &c);
     }
 
     #[test]
     fn power_zero_is_identity() {
-        let m = synth(4, 2, 71).normalized_rows();
-        let csr = CsrMatrix::freeze(&m);
-        let id = csr.power(0, PowerOptions::exact(), 1);
-        assert_eq!(id.nnz(), csr.index().len());
-        for r in id.row_ids() {
-            let row: SparseVector = id.row_entries(r).collect();
-            assert_eq!(row.len(), 1);
-            assert_eq!(row.get(&r), Some(&1.0));
+        let m = chain();
+        let id = m.power(0, PowerOptions::exact(), 1);
+        // Diagonal ones over every id the matrix mentions (rows ∪ columns).
+        for i in 0..=2u64 {
+            assert_eq!(id.get(u(i), u(i)), 1.0);
         }
-        // I · M == M, and it matches the BTreeMap convention.
-        assert_eq!(id.multiply_step(&csr, PowerOptions::exact(), 1), csr);
-        assert_eq!(id, m.power(0, PowerOptions::exact()));
+        assert_eq!(id.nnz(), 3, "chain mentions users 0, 1, 2");
+        assert!(id.is_row_stochastic(0.0));
+        assert_eq!(id.thaw(), oracle::identity_like(&m.thaw()));
+        // M^0 · M = M.
+        assert_eq!(id.multiply_step(&m, PowerOptions::exact(), 1), m);
+        let empty = CsrMatrix::freeze(&SparseMatrix::new());
+        assert!(empty.power(0, PowerOptions::exact(), 1).is_empty());
+    }
+
+    #[test]
+    fn exact_squaring_matches_iterated_multiply() {
+        let mut raw = SparseMatrix::new();
+        for i in 0..12u64 {
+            for j in 0..4u64 {
+                raw.set(u(i), u((i * 5 + j * 3) % 12), 1.0 + ((i + j) % 3) as f64)
+                    .unwrap();
+            }
+        }
+        let m = &freeze_normalized_all(&[&raw])[0];
+        for n in 4..=6u32 {
+            let fast = m.power(n, PowerOptions::exact(), 1);
+            let mut slow = m.clone();
+            for _ in 1..n {
+                slow = slow.multiply_step(m, PowerOptions::exact(), 1);
+            }
+            assert!(fast.is_row_stochastic(1e-9), "n = {n}");
+            for (r, c, v) in slow.iter() {
+                assert!((fast.get(r, c) - v).abs() < 1e-12, "n = {n} at ({r}, {c})");
+            }
+            assert_eq!(fast.nnz(), slow.nnz(), "n = {n}");
+        }
     }
 
     #[test]
     fn exact_squaring_power_matches_btreemap() {
-        let m = synth(30, 4, 73).normalized_rows();
-        let csr = CsrMatrix::freeze(&m);
+        let (m, csr) = frozen_stochastic(&synth(30, 4, 73));
         for n in [4u32, 5, 6, 7] {
             let frozen = csr.power(n, PowerOptions::exact(), 2);
-            let reference = m.power(n, PowerOptions::exact());
-            assert_eq!(frozen, reference, "n = {n}");
+            assert_bits_eq(&frozen, &oracle::power(&m, n, PowerOptions::exact()), "n");
         }
     }
 
     #[test]
+    fn fused_top_k_bounds_rows_and_breaks_ties_deterministically() {
+        // Row 0 has four equal-weight targets; top_k = 2 must keep the two
+        // smallest ids (deterministic tie-break), renormalized to sum 1.
+        let m = CsrMatrix::freeze(&matrix(&[
+            (0, 1, 0.25),
+            (0, 2, 0.25),
+            (0, 3, 0.25),
+            (0, 4, 0.25),
+            (1, 0, 1.0),
+        ]));
+        let p = m.power(2, PowerOptions::pruned(0.0).with_top_k(Some(2)), 1);
+        // Row 1 → row 0 of M, pruned to its 2 heaviest (= smallest ids).
+        assert_eq!(p.get(u(1), u(1)), 0.5);
+        assert_eq!(p.get(u(1), u(2)), 0.5);
+        assert_eq!(p.get(u(1), u(3)), 0.0, "tie lost to smaller id");
+        assert!(p.row_entries(u(1)).count() <= 2);
+        assert!(p.is_row_stochastic(1e-12));
+    }
+
+    #[test]
+    fn fused_options_compose_eps_and_top_k() {
+        let m = CsrMatrix::freeze(&matrix(&[
+            (0, 1, 0.90),
+            (0, 2, 0.06),
+            (0, 3, 0.04),
+            (1, 0, 1.0),
+            (2, 0, 1.0),
+            (3, 0, 1.0),
+        ]));
+        // ε = 0.05 drops the 0.04 path first; top_k = 1 then keeps only
+        // the heaviest survivor, renormalized to 1.
+        let opts = PowerOptions::pruned(0.05).with_top_k(Some(1));
+        assert!(opts.is_pruning());
+        let p = m.power(2, opts, 1);
+        assert_eq!(p.row_entries(u(1)).count(), 1);
+        assert_eq!(p.get(u(1), u(1)), 1.0);
+        // ε = 0 and k = None reproduce the exact power bit-identically: no
+        // pruning rule fires, so nothing is renormalized.
+        let noop = PowerOptions::pruned(0.0);
+        assert!(!noop.is_pruning());
+        let (a, b) = (m.power(2, noop, 1), m.power(2, PowerOptions::exact(), 1));
+        assert_bits_eq(&a, &b.thaw(), "no-op pruning is exact");
+    }
+
+    #[test]
     fn fused_top_k_power_matches_btreemap() {
-        let m = synth(50, 8, 79).normalized_rows();
-        let csr = CsrMatrix::freeze(&m);
+        let (m, csr) = frozen_stochastic(&synth(50, 8, 79));
         let options = PowerOptions::pruned(1e-3).with_top_k(Some(4));
-        let reference = m.power(2, options);
+        let reference = oracle::power(&m, 2, options);
         for threads in [1, 2, 8] {
             let frozen = csr.power(2, options, threads);
-            assert_eq!(frozen, reference, "{threads} threads");
+            assert_eq!(frozen.thaw(), reference, "{threads} threads");
             assert!(frozen.is_row_stochastic(1e-9));
             for r in frozen.row_ids() {
                 assert!(frozen.row_entries(r).count() <= 4, "row {r} over top_k");
@@ -1584,9 +1752,21 @@ mod tests {
     }
 
     #[test]
+    #[should_panic(expected = "at least one thread")]
+    fn multiply_step_zero_threads_panics() {
+        let m = chain();
+        let _ = m.multiply_step(&m, PowerOptions::exact(), 0);
+    }
+
+    #[test]
     fn multiply_step_empty_is_empty() {
         let empty = CsrMatrix::freeze(&SparseMatrix::new());
         let product = empty.multiply_step(&empty, PowerOptions::exact(), 2);
         assert!(product.is_empty());
+        // An empty operand under a populated index annihilates either side.
+        let m = chain();
+        let zero = CsrMatrix::freeze_normalized_sharded(m.index(), &SparseMatrix::new(), 1);
+        assert!(zero.multiply_step(&m, PowerOptions::exact(), 1).is_empty());
+        assert!(m.multiply_step(&zero, PowerOptions::exact(), 1).is_empty());
     }
 }

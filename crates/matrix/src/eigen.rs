@@ -5,7 +5,8 @@
 //! `t⁽ᵏ⁺¹⁾ = (1−a)·Cᵀ·t⁽ᵏ⁾ + a·p` where `p` is the pre-trusted
 //! distribution and `a` a damping weight (Kamvar et al., WWW 2003).
 
-use crate::sparse::{SparseMatrix, SparseVector};
+use crate::csr::CsrMatrix;
+use crate::sparse::SparseVector;
 use mdrep_types::UserId;
 
 /// Options for [`principal_eigenvector`].
@@ -47,9 +48,12 @@ pub struct EigenResult {
 /// iteration, starting from (and damping toward) the uniform distribution
 /// over `pretrusted`.
 ///
-/// `matrix` should be row-stochastic (normalize first); rows of dangling
-/// users (no outgoing trust) implicitly redistribute to the pre-trusted set
-/// through the damping term.
+/// `matrix` should be row-stochastic (freeze it with
+/// [`CsrMatrix::freeze_normalized_sharded`]); rows of dangling users (no
+/// outgoing trust) implicitly redistribute to the pre-trusted set through
+/// the damping term. Each step accumulates `t · M` in ascending row id,
+/// then ascending column, so the ranks are a deterministic function of the
+/// matrix's entries.
 ///
 /// # Panics
 ///
@@ -58,8 +62,9 @@ pub struct EigenResult {
 /// # Examples
 ///
 /// ```
-/// use mdrep_matrix::{principal_eigenvector, EigenOptions, SparseMatrix};
+/// use mdrep_matrix::{principal_eigenvector, CsrMatrix, EigenOptions, SparseMatrix, UserIndex};
 /// use mdrep_types::UserId;
+/// use std::sync::Arc;
 ///
 /// // Everyone trusts user 0.
 /// let mut m = SparseMatrix::new();
@@ -67,11 +72,9 @@ pub struct EigenResult {
 ///     m.set(UserId::new(i), UserId::new(0), 1.0)?;
 /// }
 /// m.set(UserId::new(0), UserId::new(1), 1.0)?;
-/// let result = principal_eigenvector(
-///     &m.normalized_rows(),
-///     &[UserId::new(0)],
-///     &EigenOptions::default(),
-/// );
+/// let index = Arc::new(UserIndex::from_matrices(&[&m]));
+/// let c = CsrMatrix::freeze_normalized_sharded(&index, &m, 1);
+/// let result = principal_eigenvector(&c, &[UserId::new(0)], &EigenOptions::default());
 /// assert!(result.converged);
 /// let rank0 = result.ranks[&UserId::new(0)];
 /// assert!(result.ranks.values().all(|&r| r <= rank0));
@@ -79,7 +82,7 @@ pub struct EigenResult {
 /// ```
 #[must_use]
 pub fn principal_eigenvector(
-    matrix: &SparseMatrix,
+    matrix: &CsrMatrix,
     pretrusted: &[UserId],
     options: &EigenOptions,
 ) -> EigenResult {
@@ -101,7 +104,7 @@ pub fn principal_eigenvector(
     while iterations < options.max_iterations {
         iterations += 1;
         // t' = (1−a)·(t · M) + a·p   (row-vector form of (1−a)·Mᵀt + a·p)
-        let propagated = matrix.vector_multiply(&t);
+        let propagated = propagate(matrix, &t);
         let mut next = SparseVector::new();
         for (&uid, &v) in &propagated {
             if v != 0.0 {
@@ -136,6 +139,22 @@ pub fn principal_eigenvector(
     }
 }
 
+/// `t · M`: the rows of `M` scaled by `t`'s weights, accumulated in
+/// ascending row id of `t`, then ascending column; exact zeros dropped.
+fn propagate(matrix: &CsrMatrix, t: &SparseVector) -> SparseVector {
+    let mut out = SparseVector::new();
+    for (&row, &weight) in t {
+        if weight == 0.0 {
+            continue;
+        }
+        for (c, m) in matrix.row_entries(row) {
+            *out.entry(c).or_insert(0.0) += weight * m;
+        }
+    }
+    out.retain(|_, v| *v != 0.0);
+    out
+}
+
 fn l1_delta(a: &SparseVector, b: &SparseVector) -> f64 {
     let mut delta = 0.0;
     for (uid, &va) in a {
@@ -152,19 +171,32 @@ fn l1_delta(a: &SparseVector, b: &SparseVector) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::csr::UserIndex;
     use crate::sparse::SparseMatrix;
+    use std::sync::Arc;
 
     fn u(i: u64) -> UserId {
         UserId::new(i)
     }
 
+    /// Freezes `(row, col, value)` triples, row-normalized.
+    fn stochastic(entries: &[(u64, u64, f64)]) -> CsrMatrix {
+        let mut m = SparseMatrix::new();
+        for &(r, c, v) in entries {
+            m.set(u(r), u(c), v).unwrap();
+        }
+        let index = Arc::new(UserIndex::from_matrices(&[&m]));
+        CsrMatrix::freeze_normalized_sharded(&index, &m, 1)
+    }
+
+    /// The 3-cycle 0 → 1 → 2 → 0.
+    fn cycle() -> CsrMatrix {
+        stochastic(&[(0, 1, 1.0), (1, 2, 1.0), (2, 0, 1.0)])
+    }
+
     #[test]
     fn ranks_sum_to_one() {
-        let mut m = SparseMatrix::new();
-        m.set(u(0), u(1), 1.0).unwrap();
-        m.set(u(1), u(2), 1.0).unwrap();
-        m.set(u(2), u(0), 1.0).unwrap();
-        let r = principal_eigenvector(&m, &[u(0)], &EigenOptions::default());
+        let r = principal_eigenvector(&cycle(), &[u(0)], &EigenOptions::default());
         let total: f64 = r.ranks.values().sum();
         assert!((total - 1.0).abs() < 1e-6, "total {total}");
         assert!(r.converged);
@@ -176,11 +208,7 @@ mod tests {
         // uniform regardless of damping toward user 0... it is not exactly
         // uniform with damping, but all three must be strictly positive and
         // user 0 (the pre-trusted peer) at least as large as the others.
-        let mut m = SparseMatrix::new();
-        m.set(u(0), u(1), 1.0).unwrap();
-        m.set(u(1), u(2), 1.0).unwrap();
-        m.set(u(2), u(0), 1.0).unwrap();
-        let r = principal_eigenvector(&m, &[u(0)], &EigenOptions::default());
+        let r = principal_eigenvector(&cycle(), &[u(0)], &EigenOptions::default());
         for i in 0..3 {
             assert!(r.ranks[&u(i)] > 0.0, "user {i}");
         }
@@ -190,12 +218,9 @@ mod tests {
     #[test]
     fn popular_peer_outranks_others() {
         // Star: 1..=9 all trust 0; 0 trusts 1.
-        let mut m = SparseMatrix::new();
-        for i in 1..10u64 {
-            m.set(u(i), u(0), 1.0).unwrap();
-        }
-        m.set(u(0), u(1), 1.0).unwrap();
-        let r = principal_eigenvector(&m.normalized_rows(), &[u(5)], &EigenOptions::default());
+        let mut entries: Vec<(u64, u64, f64)> = (1..10u64).map(|i| (i, 0, 1.0)).collect();
+        entries.push((0, 1, 1.0));
+        let r = principal_eigenvector(&stochastic(&entries), &[u(5)], &EigenOptions::default());
         let rank0 = r.ranks[&u(0)];
         for i in 1..10u64 {
             assert!(
@@ -206,9 +231,23 @@ mod tests {
     }
 
     #[test]
+    fn one_iteration_is_the_hand_computed_product() {
+        // M = [[0, 1], [0.5, 0.5]] over users {0, 1}; t0 = (0.5, 0.5) from
+        // the pre-trusted pair, no damping: t1 = t0 · M = (0.25, 0.75).
+        let m = stochastic(&[(0, 1, 1.0), (1, 0, 0.5), (1, 1, 0.5)]);
+        let opts = EigenOptions {
+            damping: 0.0,
+            epsilon: 0.0,
+            max_iterations: 1,
+        };
+        let r = principal_eigenvector(&m, &[u(0), u(1)], &opts);
+        assert_eq!(r.ranks[&u(0)], 0.25);
+        assert_eq!(r.ranks[&u(1)], 0.75);
+    }
+
+    #[test]
     fn damping_one_returns_pretrusted_distribution() {
-        let mut m = SparseMatrix::new();
-        m.set(u(0), u(1), 1.0).unwrap();
+        let m = stochastic(&[(0, 1, 1.0)]);
         let opts = EigenOptions {
             damping: 1.0,
             ..EigenOptions::default()
@@ -222,8 +261,7 @@ mod tests {
     #[test]
     fn dangling_rows_do_not_leak_mass() {
         // User 1 has no outgoing trust at all (dangling).
-        let mut m = SparseMatrix::new();
-        m.set(u(0), u(1), 1.0).unwrap();
+        let m = stochastic(&[(0, 1, 1.0)]);
         let r = principal_eigenvector(&m, &[u(0)], &EigenOptions::default());
         let total: f64 = r.ranks.values().sum();
         assert!((total - 1.0).abs() < 1e-6, "mass conserved, got {total}");
@@ -231,9 +269,7 @@ mod tests {
 
     #[test]
     fn iteration_budget_respected() {
-        let mut m = SparseMatrix::new();
-        m.set(u(0), u(1), 1.0).unwrap();
-        m.set(u(1), u(0), 1.0).unwrap();
+        let m = stochastic(&[(0, 1, 1.0), (1, 0, 1.0)]);
         let opts = EigenOptions {
             max_iterations: 1,
             epsilon: 0.0,
@@ -248,14 +284,14 @@ mod tests {
     #[test]
     #[should_panic(expected = "non-empty")]
     fn empty_pretrusted_panics() {
-        let m = SparseMatrix::new();
+        let m = CsrMatrix::freeze(&SparseMatrix::new());
         let _ = principal_eigenvector(&m, &[], &EigenOptions::default());
     }
 
     #[test]
     #[should_panic(expected = "damping")]
     fn invalid_damping_panics() {
-        let m = SparseMatrix::new();
+        let m = CsrMatrix::freeze(&SparseMatrix::new());
         let opts = EigenOptions {
             damping: 1.5,
             ..EigenOptions::default()
