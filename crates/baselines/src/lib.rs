@@ -43,7 +43,7 @@ mod tit_for_tat;
 
 pub use eigentrust::{EigenTrust, EigenTrustConfig};
 pub use lip::{Lip, LipConfig};
-pub use mdrep_adapter::{MultiDimensional, MultiDimensionalSharded};
+pub use mdrep_adapter::MultiDimensional;
 pub use multi_trust::MultiTrustHybrid;
 pub use no_rep::NoReputation;
 pub use system::ReputationSystem;

@@ -130,7 +130,7 @@ fn run_scenario(clique: u64) -> (f64, f64) {
 
     // Inflation metric per system.
     let et_view = |target: UserId| et.reputation(honest[1], target);
-    let md_view = |viewer: UserId, target: UserId| md.reputation(viewer, target);
+    let md_view = |viewer: UserId, target: UserId| md.view().reputation(viewer, target);
 
     let et_colluder = mean(colluders.iter().map(|&c| et_view(c)));
     let et_honest = mean(honest.iter().skip(1).map(|&h| et_view(h)));

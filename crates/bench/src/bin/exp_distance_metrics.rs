@@ -50,7 +50,7 @@ fn experiment() {
             engine.observe_trace_event(event, trace.catalog());
         }
         engine.recompute(end);
-        let coverage = engine.request_coverage(&trace.request_pairs());
+        let coverage = engine.view().request_coverage(&trace.request_pairs());
         let nnz = engine.components().expect("computed").fm.nnz();
         let f1 = fake_f1(&trace, &engine, end);
         table.row(&[
@@ -96,6 +96,7 @@ fn fake_f1(trace: &Trace, engine: &ReputationEngine, end: SimTime) -> f64 {
             let mut votes_fake = 0usize;
             let mut votes_total = 0usize;
             for r in engine
+                .view()
                 .file_reputation_batch(&viewers, &evals)
                 .into_iter()
                 .flatten()

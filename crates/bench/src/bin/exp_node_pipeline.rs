@@ -102,7 +102,7 @@ fn experiment() {
         let engine = community.peer(UserId::new(0)).expect("joined").engine();
         let mean = |range: std::ops::Range<u64>| {
             let vals: Vec<f64> = range
-                .map(|i| engine.reputation(UserId::new(0), UserId::new(i)))
+                .map(|i| engine.view().reputation(UserId::new(0), UserId::new(i)))
                 .collect();
             vals.iter().sum::<f64>() / vals.len() as f64
         };

@@ -68,7 +68,7 @@ fn experiment() {
         }
         engine.expire(end);
         engine.recompute(end);
-        let coverage = engine.request_coverage(&recent_requests);
+        let coverage = engine.view().request_coverage(&recent_requests);
         table.row_f64(&[
             interval_days as f64,
             engine.evaluations().len() as f64,

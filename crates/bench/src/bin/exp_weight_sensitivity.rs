@@ -89,7 +89,7 @@ fn evaluate(
     }
     engine.recompute(end);
 
-    let coverage = engine.request_coverage(&trace.request_pairs());
+    let coverage = engine.view().request_coverage(&trace.request_pairs());
 
     // Fake-identification F1 over the whole catalog, averaged over a panel
     // of honest viewers.
@@ -122,6 +122,7 @@ fn evaluate(
             let mut votes_fake = 0usize;
             let mut votes_total = 0usize;
             for r in engine
+                .view()
                 .file_reputation_batch(&viewers, &evals)
                 .into_iter()
                 .flatten()

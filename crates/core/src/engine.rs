@@ -1,19 +1,15 @@
-//! The [`ReputationEngine`]: event ingestion, matrix recomputation, and
-//! queries.
+//! The [`ReputationEngine`]: event ingestion and matrix recomputation.
 //!
 //! The engine is the façade a peer (or the overlay simulator) uses:
 //! feed it observations — downloads, votes, deletions, user ratings — then
 //! call [`ReputationEngine::recompute`] to rebuild
-//! `RM = (α·FM + β·DM + γ·UM)^n` and query reputations, file verdicts, and
-//! service decisions.
+//! `RM = (α·FM + β·DM + γ·UM)^n`. The computed state lives in the engine's
+//! [`view`](ReputationEngine::view), an [`EngineSnapshot`] that answers
+//! reputations, file verdicts, and service decisions.
 
 use crate::audit::{AuditOutcome, Auditor};
 use crate::eval::EvaluationStore;
-use crate::file_reputation::{
-    download_decision, file_reputation, DownloadDecision, OwnerEvaluation,
-};
 use crate::file_trust::{ft_row, FileTrust, FileTrustOptions};
-use crate::incentive::{ServiceDecision, ServicePolicy};
 use crate::params::Params;
 use crate::reputation::ReputationMatrix;
 use crate::snapshot::EngineSnapshot;
@@ -22,7 +18,7 @@ use crate::volume_trust::VolumeTrust;
 use mdrep_matrix::{blend_frozen, normalize_row_mut, shard_ranges, CsrMatrix, UserIndex};
 use mdrep_types::{Evaluation, FileId, FileSize, SimTime, UserId};
 use mdrep_workload::{Catalog, EventKind, TraceEvent};
-use std::collections::{BTreeMap, BTreeSet, HashSet};
+use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;
 
 /// The one-step matrices of the last recomputation, kept for inspection and
@@ -83,11 +79,10 @@ pub enum RecomputeMode {
 /// engine.observe_download(SimTime::ZERO, a, b, FileId::new(0), FileSize::from_mib(10));
 /// engine.observe_vote(SimTime::ZERO, a, FileId::new(0), Evaluation::BEST);
 /// engine.recompute(SimTime::ZERO);
-/// assert!(engine.reputation(a, b) > 0.0);
+/// assert!(engine.view().reputation(a, b) > 0.0);
 /// ```
 #[derive(Debug, Clone)]
 pub struct ReputationEngine {
-    params: Params,
     file_trust_options: FileTrustOptions,
     evals: EvaluationStore,
     volume: VolumeTrust,
@@ -103,10 +98,11 @@ pub struct ReputationEngine {
     /// has many co-evaluators, and expanding once per recompute instead of
     /// once per event keeps ingestion O(log n) per event.
     dirty_files: BTreeSet<FileId>,
-    rm: Option<ReputationMatrix>,
-    components: Option<TrustComponents>,
-    punished: HashSet<UserId>,
-    last_recompute: Option<SimTime>,
+    /// The computed state — params, components, `RM`, punished set — as the
+    /// read view every query goes through. Its `as_of` is the time of the
+    /// last recompute; its epoch stays 0 until
+    /// [`snapshot_at`](Self::snapshot_at) stamps a published copy.
+    view: EngineSnapshot,
     last_mode: Option<RecomputeMode>,
     last_dirty_rows: usize,
     /// Rows materialized fresh by the last recompute — everything else in
@@ -169,17 +165,13 @@ impl ReputationEngine {
     #[must_use]
     pub fn with_options(params: Params, file_trust_options: FileTrustOptions) -> Self {
         Self {
-            params,
             file_trust_options,
             evals: EvaluationStore::new(),
             volume: VolumeTrust::new(),
             user_trust: UserTrust::new(),
             fm_dirty: BTreeSet::new(),
             dirty_files: BTreeSet::new(),
-            rm: None,
-            components: None,
-            punished: HashSet::new(),
-            last_recompute: None,
+            view: EngineSnapshot::empty(params),
             last_mode: None,
             last_dirty_rows: 0,
             last_publish_rows: 0,
@@ -187,16 +179,23 @@ impl ReputationEngine {
         }
     }
 
+    /// The engine's computed state: every read query (reputations,
+    /// Equation 9, service, coverage, punishment) goes through it.
+    #[must_use]
+    pub fn view(&self) -> &EngineSnapshot {
+        &self.view
+    }
+
     /// The engine's parameters.
     #[must_use]
     pub fn params(&self) -> &Params {
-        &self.params
+        self.view.params()
     }
 
     /// Whether dirty-row bookkeeping is worth the per-event cost: with a
     /// zero threshold every recompute is a batch rebuild anyway.
     fn dirty_tracking_enabled(&self) -> bool {
-        self.params.incremental_threshold() > 0.0
+        self.view.params.incremental_threshold() > 0.0
     }
 
     /// Notes that an evaluation change on `file` invalidated `FM` rows: all
@@ -325,7 +324,7 @@ impl ReputationEngine {
     /// Drops evaluations older than the configured interval. Returns how
     /// many records were expired.
     pub fn expire(&mut self, now: SimTime) -> usize {
-        let dropped = self.evals.expire_detailed(now, &self.params);
+        let dropped = self.evals.expire_detailed(now, &self.view.params);
         if self.dirty_tracking_enabled() {
             for &(user, file) in &dropped {
                 self.volume.mark_dirty(user);
@@ -392,7 +391,7 @@ impl ReputationEngine {
             RecomputeMode::Incremental => "engine.recompute.mode.incremental",
             RecomputeMode::FallbackFull => "engine.recompute.mode.fallback",
         });
-        self.last_recompute = Some(now);
+        self.view.as_of = now;
         self.last_mode = Some(mode);
     }
 
@@ -401,8 +400,12 @@ impl ReputationEngine {
     /// ramping at the previous recompute have changed rows even without new
     /// events, so they (and their co-evaluators) join the dirty sets.
     fn plan_mode(&mut self, now: SimTime, force_full: bool) -> RecomputeMode {
-        let threshold = self.params.incremental_threshold();
-        if force_full || threshold <= 0.0 || self.components.is_none() || self.rm.is_none() {
+        let threshold = self.view.params.incremental_threshold();
+        if force_full
+            || threshold <= 0.0
+            || self.view.components.is_none()
+            || self.view.rm.is_none()
+        {
             return RecomputeMode::Full;
         }
         self.expand_dirty_files();
@@ -419,23 +422,24 @@ impl ReputationEngine {
         } else {
             threshold * total as f64
         };
-        if let Some(last) = self.last_recompute {
-            if now != last {
-                let drifting = self
-                    .evals
-                    .users_with_unsaturated_records(last, self.params.retention_saturation());
-                if drifting.len() as f64 > budget {
-                    // Don't pay for the co-evaluator expansion when the
-                    // drifting users alone already bust the budget.
-                    return RecomputeMode::FallbackFull;
-                }
-                for user in drifting {
-                    self.volume.mark_dirty(user);
-                    self.fm_dirty.insert(user);
-                    let files: Vec<FileId> = self.evals.files_of(user).collect();
-                    for file in files {
-                        self.dirty_file_coevaluators(file);
-                    }
+        // A prior recompute exists (components are set), so the view's
+        // `as_of` is its time.
+        let last = self.view.as_of;
+        if now != last {
+            let drifting = self
+                .evals
+                .users_with_unsaturated_records(last, self.view.params.retention_saturation());
+            if drifting.len() as f64 > budget {
+                // Don't pay for the co-evaluator expansion when the
+                // drifting users alone already bust the budget.
+                return RecomputeMode::FallbackFull;
+            }
+            for user in drifting {
+                self.volume.mark_dirty(user);
+                self.fm_dirty.insert(user);
+                let files: Vec<FileId> = self.evals.files_of(user).collect();
+                for file in files {
+                    self.dirty_file_coevaluators(file);
                 }
             }
         }
@@ -450,7 +454,7 @@ impl ReputationEngine {
     /// blended across [`Params::threads`](crate::Params::threads) workers)
     /// and clear all dirty state.
     fn rebuild_full(&mut self, now: SimTime) {
-        let threads = self.params.effective_threads();
+        let threads = self.view.params.effective_threads();
         self.dirty_files.clear();
         self.fm_dirty.clear();
         self.volume.clear_dirty();
@@ -461,11 +465,11 @@ impl ReputationEngine {
         // fused into the freeze pass. A matrix's raw build and its freeze
         // are both timed under that matrix's phase span.
         let ft = phase("engine.recompute.fm_build", || {
-            FileTrust::compute_with(&self.evals, now, &self.params, self.file_trust_options)
+            FileTrust::compute_with(&self.evals, now, &self.view.params, self.file_trust_options)
         });
         let dm_raw = phase("engine.recompute.dm_build", || {
             self.volume
-                .raw_parallel(&self.evals, now, &self.params, threads)
+                .raw_parallel(&self.evals, now, &self.view.params, threads)
         });
         let um_raw = phase("engine.recompute.um_build", || self.user_trust.raw());
         let index = Arc::new(UserIndex::from_matrices(&[ft.raw(), &dm_raw, &um_raw]));
@@ -478,7 +482,7 @@ impl ReputationEngine {
         let um = phase("engine.recompute.um_build", || {
             CsrMatrix::freeze_normalized_sharded(&index, &um_raw, threads)
         });
-        let w = self.params.weights();
+        let w = self.view.params.weights();
         let tm = phase("engine.recompute.integrate", || {
             blend_frozen(
                 &[(w.alpha(), &fm), (w.beta(), &dm), (w.gamma(), &um)],
@@ -486,7 +490,7 @@ impl ReputationEngine {
             )
             .expect("validated weights form a convex combination")
         });
-        let rm = ReputationMatrix::compute_csr(tm.clone(), &self.params);
+        let rm = ReputationMatrix::compute_csr(tm.clone(), &self.view.params);
         Self::record_matrix_gauges(&tm, &rm);
         // A batch rebuild materializes every matrix from scratch: the next
         // snapshot shares nothing with the previous one.
@@ -496,8 +500,8 @@ impl ReputationEngine {
             + um.storage_bytes()
             + tm.storage_bytes()
             + rm.approx_bytes();
-        self.rm = Some(rm);
-        self.components = Some(TrustComponents { fm, dm, um, tm });
+        self.view.rm = Some(rm);
+        self.view.components = Some(TrustComponents { fm, dm, um, tm });
     }
 
     /// The dirty-row path: recompute only invalidated rows in place. Every
@@ -514,12 +518,14 @@ impl ReputationEngine {
     /// [`Params::threads`](crate::Params::threads) — so the merged result
     /// is bit-identical to the serial loop at any shard/thread count.
     fn rebuild_incremental(&mut self, now: SimTime) {
-        let threads = self.params.effective_threads();
+        let threads = self.view.params.effective_threads();
         let mut comps = self
+            .view
             .components
             .take()
             .expect("incremental mode requires prior components");
         let mut rm = self
+            .view
             .rm
             .take()
             .expect("incremental mode requires a prior RM");
@@ -544,12 +550,12 @@ impl ReputationEngine {
         // matrices — exactly what the serial path would have read, because
         // a row absent from a dirty set is never patched.
         let patches: Vec<RowPatch> = phase("engine.recompute.integrate", || {
-            let w = self.params.weights();
+            let w = self.view.params.weights();
             let (volume, user_trust, evals, params, ft_options) = (
                 &self.volume,
                 &self.user_trust,
                 &self.evals,
-                &self.params,
+                &self.view.params,
                 self.file_trust_options,
             );
             let comps_ref = &comps;
@@ -629,7 +635,7 @@ impl ReputationEngine {
         // ascending id order, tallying the copy-on-write publish cost (only
         // these slabs are new bytes in the next snapshot; everything else
         // is shared).
-        let one_step = self.params.steps() == 1;
+        let one_step = self.view.params.steps() == 1;
         let publish_bytes = phase("engine.recompute.merge", || {
             let mut publish_bytes = 0usize;
             for patch in patches {
@@ -662,7 +668,7 @@ impl ReputationEngine {
                 // incrementally maintained TM (compacted inside
                 // `compute_csr` before the SpGEMM steps). The rebuilt RM is
                 // fresh storage.
-                rm = ReputationMatrix::compute_csr(comps.tm.clone(), &self.params);
+                rm = ReputationMatrix::compute_csr(comps.tm.clone(), &self.view.params);
                 publish_bytes += rm.approx_bytes();
             }
             publish_bytes
@@ -670,8 +676,8 @@ impl ReputationEngine {
         self.last_publish_rows = union.len();
         self.last_publish_bytes = publish_bytes;
         Self::record_matrix_gauges(&comps.tm, &rm);
-        self.rm = Some(rm);
-        self.components = Some(comps);
+        self.view.rm = Some(rm);
+        self.view.components = Some(comps);
     }
 
     /// The `engine.tm.*` / `engine.rm.nnz` gauges. Each count walks the
@@ -735,33 +741,19 @@ impl ReputationEngine {
         union.len()
     }
 
-    /// `RM_ij` from the last [`recompute`](Self::recompute); 0 before the
-    /// first recomputation, for unknown pairs, and for punished targets.
-    #[must_use]
-    pub fn reputation(&self, i: UserId, j: UserId) -> f64 {
-        if self.punished.contains(&j) {
-            return 0.0;
-        }
-        self.rm.as_ref().map_or(0.0, |rm| rm.reputation(i, j))
-    }
-
     /// Marks `user` as punished (caught forging evaluations, Section 4.2
-    /// attack 3): its reputation reads as zero everywhere and its published
-    /// evaluations stop counting in Equation 9. The underlying observations
-    /// are kept so a [`pardon`](Self::pardon) can restore the user.
+    /// attack 3): through the [`view`](Self::view) its reputation reads as
+    /// zero everywhere, its published evaluations stop counting in
+    /// Equation 9, and it gets stranger service. The underlying
+    /// observations are kept so a [`pardon`](Self::pardon) can restore the
+    /// user.
     pub fn mark_punished(&mut self, user: UserId) {
-        self.punished.insert(user);
+        self.view.punished.insert(user);
     }
 
     /// Lifts a punishment.
     pub fn pardon(&mut self, user: UserId) {
-        self.punished.remove(&user);
-    }
-
-    /// Whether `user` is currently punished.
-    #[must_use]
-    pub fn is_punished(&self, user: UserId) -> bool {
-        self.punished.contains(&user)
+        self.view.punished.remove(&user);
     }
 
     /// Runs one proactive audit of `user`'s published evaluations through
@@ -784,102 +776,13 @@ impl ReputationEngine {
     /// The full reputation matrix, if computed.
     #[must_use]
     pub fn reputation_matrix(&self) -> Option<&ReputationMatrix> {
-        self.rm.as_ref()
+        self.view.reputation_matrix()
     }
 
     /// The one-step matrices of the last recomputation, if any.
     #[must_use]
     pub fn components(&self) -> Option<&TrustComponents> {
-        self.components.as_ref()
-    }
-
-    /// Equation 9 for `viewer` over the supplied owner evaluations.
-    /// Punished owners' evaluations are discarded first. `None` before the
-    /// first recomputation or when no remaining owner is reputable.
-    #[must_use]
-    pub fn file_reputation(
-        &self,
-        viewer: UserId,
-        evaluations: &[OwnerEvaluation],
-    ) -> Option<Evaluation> {
-        let trusted = self.trusted_evaluations(evaluations);
-        self.rm
-            .as_ref()
-            .and_then(|rm| file_reputation(rm, viewer, &trusted))
-    }
-
-    /// Batched Equation 9: the same owner evaluations scored by many
-    /// viewers (one file's owner set against a viewer panel). Punished
-    /// owners are discarded once for the whole batch; each entry matches
-    /// [`file_reputation`](Self::file_reputation) for that viewer. Returns
-    /// all-`None` before the first recomputation.
-    #[must_use]
-    pub fn file_reputation_batch(
-        &self,
-        viewers: &[UserId],
-        evaluations: &[OwnerEvaluation],
-    ) -> Vec<Option<Evaluation>> {
-        let trusted = self.trusted_evaluations(evaluations);
-        match &self.rm {
-            None => vec![None; viewers.len()],
-            Some(rm) => crate::file_reputation::file_reputation_batch(rm, viewers, &trusted),
-        }
-    }
-
-    /// The download decision for `viewer` over the supplied evaluations
-    /// (punished owners discarded).
-    #[must_use]
-    pub fn decide_download(
-        &self,
-        viewer: UserId,
-        evaluations: &[OwnerEvaluation],
-    ) -> DownloadDecision {
-        let trusted = self.trusted_evaluations(evaluations);
-        match &self.rm {
-            None => DownloadDecision::Unknown,
-            Some(rm) => download_decision(rm, viewer, &trusted, &self.params),
-        }
-    }
-
-    fn trusted_evaluations(&self, evaluations: &[OwnerEvaluation]) -> Vec<OwnerEvaluation> {
-        evaluations
-            .iter()
-            .filter(|oe| !self.punished.contains(&oe.owner))
-            .copied()
-            .collect()
-    }
-
-    /// The service `uploader` grants `requester` under `policy`
-    /// (stranger-level before the first recomputation).
-    #[must_use]
-    pub fn service(
-        &self,
-        uploader: UserId,
-        requester: UserId,
-        policy: &ServicePolicy,
-    ) -> ServiceDecision {
-        match &self.rm {
-            None => policy.decide_scaled(0.0),
-            Some(rm) => policy.decide(rm, uploader, requester),
-        }
-    }
-
-    /// Tier-based service (the multi-tier incentive scheme): which trust
-    /// tier `requester` falls into for `uploader` decides the band, the
-    /// in-tier value the position inside it. Punished requesters are
-    /// strangers.
-    #[must_use]
-    pub fn service_tiered(
-        &self,
-        uploader: UserId,
-        requester: UserId,
-        policy: &ServicePolicy,
-    ) -> ServiceDecision {
-        match &self.rm {
-            _ if self.punished.contains(&requester) => policy.decide_scaled(0.0),
-            None => policy.decide_scaled(0.0),
-            Some(rm) => policy.decide_tiered(rm.tier_of(uploader, requester), rm.steps().max(1)),
-        }
+        self.view.components()
     }
 
     /// The evaluations `user` would publish to the DHT at `now` (Fig. 2
@@ -890,7 +793,7 @@ impl ReputationEngine {
         user: UserId,
         now: SimTime,
     ) -> BTreeMap<FileId, Evaluation> {
-        self.evals.evaluations_of(user, now, &self.params)
+        self.evals.evaluations_of(user, now, &self.view.params)
     }
 
     /// Read access to the evaluation store (for experiments).
@@ -899,56 +802,27 @@ impl ReputationEngine {
         &self.evals
     }
 
-    /// Figure 1 metric over the last recomputed `RM`: fraction of request
-    /// pairs with positive reputation. 0.0 before the first recomputation.
-    #[must_use]
-    pub fn request_coverage(&self, requests: &[(UserId, UserId)]) -> f64 {
-        self.rm
-            .as_ref()
-            .map_or(0.0, |rm| rm.request_coverage(requests))
-    }
-
-    /// Captures the engine's *computed* state (components, `RM`, punished
-    /// set) as an immutable [`EngineSnapshot`] stamped with `epoch`. The
-    /// snapshot answers every read query the engine does, against exactly
-    /// this recompute's matrices — the publication unit of the sharded
-    /// epoch-snapshot architecture.
+    /// The [`view`](Self::view) stamped with `epoch` and `as_of` — the
+    /// publication unit of the sharded epoch-snapshot architecture.
     ///
     /// Cheap: the frozen CSR arrays are copy-on-write (`Arc`-shared), so
     /// the clone costs only the overlay pointer maps and the punished set —
     /// `O(dirty rows)`, not `O(nnz)`.
     #[must_use]
     pub fn snapshot_at(&self, epoch: u64, as_of: SimTime) -> EngineSnapshot {
-        let (params, components, rm, punished) = self.snapshot_parts();
-        EngineSnapshot::new(epoch, as_of, params, components, rm, punished)
-    }
-
-    /// The copy-on-write clones a snapshot is assembled from. The sharded
-    /// engine grabs these under the master lock (cheap — shared `Arc`s and
-    /// overlay pointer maps) and builds the [`EngineSnapshot`] *after*
-    /// dropping it, keeping the lock's critical section minimal.
-    #[must_use]
-    #[allow(clippy::type_complexity)]
-    pub fn snapshot_parts(
-        &self,
-    ) -> (
-        Params,
-        Option<TrustComponents>,
-        Option<ReputationMatrix>,
-        HashSet<UserId>,
-    ) {
-        (
-            self.params.clone(),
-            self.components.clone(),
-            self.rm.clone(),
-            self.punished.clone(),
-        )
+        EngineSnapshot {
+            epoch,
+            as_of,
+            ..self.view.clone()
+        }
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::file_reputation::{DownloadDecision, OwnerEvaluation};
+    use crate::incentive::ServicePolicy;
     use mdrep_types::SimDuration;
     use mdrep_workload::{BehaviorMix, TraceBuilder, WorkloadConfig};
 
@@ -962,13 +836,16 @@ mod tests {
     #[test]
     fn fresh_engine_answers_conservatively() {
         let engine = ReputationEngine::new(Params::default());
-        assert_eq!(engine.reputation(u(0), u(1)), 0.0);
+        assert_eq!(engine.view().reputation(u(0), u(1)), 0.0);
         assert!(engine.reputation_matrix().is_none());
         assert!(engine.components().is_none());
-        assert_eq!(engine.decide_download(u(0), &[]), DownloadDecision::Unknown);
-        let svc = engine.service(u(0), u(1), &ServicePolicy::default());
+        assert_eq!(
+            engine.view().decide_download(u(0), &[]),
+            DownloadDecision::Unknown
+        );
+        let svc = engine.view().service(u(0), u(1), &ServicePolicy::default());
         assert!(svc.is_throttled());
-        assert_eq!(engine.request_coverage(&[(u(0), u(1))]), 0.0);
+        assert_eq!(engine.view().request_coverage(&[(u(0), u(1))]), 0.0);
     }
 
     #[test]
@@ -977,7 +854,10 @@ mod tests {
         engine.observe_download(SimTime::ZERO, u(0), u(1), f(0), FileSize::from_mib(100));
         engine.observe_vote(SimTime::ZERO, u(0), f(0), Evaluation::BEST);
         engine.recompute(SimTime::ZERO);
-        assert!(engine.reputation(u(0), u(1)) > 0.0, "volume trust edge");
+        assert!(
+            engine.view().reputation(u(0), u(1)) > 0.0,
+            "volume trust edge"
+        );
     }
 
     #[test]
@@ -986,8 +866,8 @@ mod tests {
         engine.observe_vote(SimTime::ZERO, u(0), f(0), Evaluation::BEST);
         engine.observe_vote(SimTime::ZERO, u(1), f(0), Evaluation::BEST);
         engine.recompute(SimTime::ZERO);
-        assert!(engine.reputation(u(0), u(1)) > 0.0);
-        assert!(engine.reputation(u(1), u(0)) > 0.0);
+        assert!(engine.view().reputation(u(0), u(1)) > 0.0);
+        assert!(engine.view().reputation(u(1), u(0)) > 0.0);
     }
 
     #[test]
@@ -995,9 +875,9 @@ mod tests {
         let mut engine = ReputationEngine::new(Params::default());
         engine.observe_rank(u(0), u(1), Evaluation::BEST);
         engine.recompute(SimTime::ZERO);
-        assert!(engine.reputation(u(0), u(1)) > 0.0);
+        assert!(engine.view().reputation(u(0), u(1)) > 0.0);
         // γ = 0.2 and UM_01 = 1 → TM_01 = 0.2.
-        assert!((engine.reputation(u(0), u(1)) - 0.2).abs() < 1e-12);
+        assert!((engine.view().reputation(u(0), u(1)) - 0.2).abs() < 1e-12);
     }
 
     #[test]
@@ -1023,11 +903,11 @@ mod tests {
         engine.observe_vote(SimTime::ZERO, u(0), f(0), Evaluation::BEST);
         engine.observe_rank(u(0), u(1), Evaluation::BEST);
         engine.recompute(SimTime::ZERO);
-        assert!(engine.reputation(u(0), u(1)) > 0.0);
+        assert!(engine.view().reputation(u(0), u(1)) > 0.0);
 
         engine.observe_whitewash(u(1));
         engine.recompute(SimTime::ZERO);
-        assert_eq!(engine.reputation(u(0), u(1)), 0.0);
+        assert_eq!(engine.view().reputation(u(0), u(1)), 0.0);
     }
 
     #[test]
@@ -1036,9 +916,9 @@ mod tests {
         engine.observe_rank(u(0), u(1), Evaluation::BEST);
         engine.recompute(SimTime::ZERO);
         let evals = [OwnerEvaluation::new(u(1), Evaluation::WORST)];
-        let r = engine.file_reputation(u(0), &evals).unwrap();
+        let r = engine.view().file_reputation(u(0), &evals).unwrap();
         assert_eq!(r, Evaluation::WORST);
-        assert!(!engine.decide_download(u(0), &evals).is_accept());
+        assert!(!engine.view().decide_download(u(0), &evals).is_accept());
     }
 
     #[test]
@@ -1047,8 +927,8 @@ mod tests {
         engine.observe_rank(u(1), u(0), Evaluation::BEST); // uploader 1 trusts 0
         engine.recompute(SimTime::ZERO);
         let policy = ServicePolicy::default();
-        let friend = engine.service(u(1), u(0), &policy);
-        let stranger = engine.service(u(1), u(9), &policy);
+        let friend = engine.view().service(u(1), u(0), &policy);
+        let stranger = engine.view().service(u(1), u(9), &policy);
         assert!(friend.queue_offset > stranger.queue_offset);
         assert!(!friend.is_throttled());
         assert!(stranger.is_throttled());
@@ -1066,7 +946,7 @@ mod tests {
         let later = SimTime::ZERO + SimDuration::from_days(5);
         assert_eq!(engine.expire(later), 2);
         engine.recompute(later);
-        assert_eq!(engine.reputation(u(0), u(1)), 0.0);
+        assert_eq!(engine.view().reputation(u(0), u(1)), 0.0);
     }
 
     #[test]
@@ -1087,7 +967,7 @@ mod tests {
         }
         let end = SimTime::ZERO + SimDuration::from_days(2);
         engine.recompute(end);
-        let coverage = engine.request_coverage(&trace.request_pairs());
+        let coverage = engine.view().request_coverage(&trace.request_pairs());
         assert!(coverage > 0.0, "some requests must be covered");
         // Published evaluations exist for active users.
         let some_user = trace.population().iter().next().unwrap().id();
@@ -1099,25 +979,32 @@ mod tests {
         let mut engine = ReputationEngine::new(Params::default());
         engine.observe_rank(u(0), u(1), Evaluation::BEST);
         engine.recompute(SimTime::ZERO);
-        assert!(engine.reputation(u(0), u(1)) > 0.0);
+        assert!(engine.view().reputation(u(0), u(1)) > 0.0);
         let evals = [OwnerEvaluation::new(u(1), Evaluation::BEST)];
-        assert!(engine.file_reputation(u(0), &evals).is_some());
+        assert!(engine.view().file_reputation(u(0), &evals).is_some());
 
         engine.mark_punished(u(1));
-        assert!(engine.is_punished(u(1)));
-        assert_eq!(engine.reputation(u(0), u(1)), 0.0, "reputation zeroed");
+        assert!(engine.view().is_punished(u(1)));
+        assert_eq!(
+            engine.view().reputation(u(0), u(1)),
+            0.0,
+            "reputation zeroed"
+        );
         assert!(
-            engine.file_reputation(u(0), &evals).is_none(),
+            engine.view().file_reputation(u(0), &evals).is_none(),
             "evaluations discarded"
         );
         assert_eq!(
-            engine.decide_download(u(0), &evals),
+            engine.view().decide_download(u(0), &evals),
             DownloadDecision::Unknown
         );
 
         engine.pardon(u(1));
-        assert!(!engine.is_punished(u(1)));
-        assert!(engine.reputation(u(0), u(1)) > 0.0, "pardon restores");
+        assert!(!engine.view().is_punished(u(1)));
+        assert!(
+            engine.view().reputation(u(0), u(1)) > 0.0,
+            "pardon restores"
+        );
     }
 
     #[test]
@@ -1132,14 +1019,17 @@ mod tests {
         // Baseline examination.
         let outcome = engine.audit_user(&mut auditor, u(1), SimTime::ZERO);
         assert!(!outcome.is_forged());
-        assert!(!engine.is_punished(u(1)));
+        assert!(!engine.view().is_punished(u(1)));
 
         // The user swaps its list (re-votes everything inverted).
         engine.observe_vote(SimTime::ZERO, u(1), f(0), Evaluation::WORST);
         engine.observe_vote(SimTime::ZERO, u(1), f(1), Evaluation::WORST);
         let outcome = engine.audit_user(&mut auditor, u(1), SimTime::ZERO);
         assert!(outcome.is_forged());
-        assert!(engine.is_punished(u(1)), "forgery leads to punishment");
+        assert!(
+            engine.view().is_punished(u(1)),
+            "forgery leads to punishment"
+        );
     }
 
     #[test]
@@ -1151,16 +1041,16 @@ mod tests {
         engine.observe_rank(u(1), u(2), Evaluation::BEST);
         engine.recompute(SimTime::ZERO);
         let policy = ServicePolicy::default();
-        let tier1 = engine.service_tiered(u(0), u(1), &policy);
-        let tier2 = engine.service_tiered(u(0), u(2), &policy);
-        let stranger = engine.service_tiered(u(0), u(9), &policy);
+        let tier1 = engine.view().service_tiered(u(0), u(1), &policy);
+        let tier2 = engine.view().service_tiered(u(0), u(2), &policy);
+        let stranger = engine.view().service_tiered(u(0), u(9), &policy);
         assert!(tier1.queue_offset > tier2.queue_offset);
         assert!(tier2.queue_offset >= stranger.queue_offset);
         assert!(stranger.is_throttled());
 
         // Punished requesters fall to stranger level regardless of tier.
         engine.mark_punished(u(1));
-        let punished = engine.service_tiered(u(0), u(1), &policy);
+        let punished = engine.view().service_tiered(u(0), u(1), &policy);
         assert_eq!(punished.queue_offset, stranger.queue_offset);
     }
 
@@ -1347,7 +1237,7 @@ mod tests {
         engine.observe_download(day2, u(0), u(2), f(1), FileSize::from_mib(80));
         engine.recompute(day2);
         // The day-2 record has zero retention so far: all trust goes to u(1).
-        let r0 = engine.reputation(u(0), u(1));
+        let r0 = engine.view().reputation(u(0), u(1));
         assert!(r0 > 0.0);
 
         // A day later, with zero new events, the younger record has accrued
@@ -1360,10 +1250,10 @@ mod tests {
         );
         assert!(engine.last_dirty_rows() >= 1);
         assert!(
-            engine.reputation(u(0), u(1)) < r0,
+            engine.view().reputation(u(0), u(1)) < r0,
             "u(2)'s share grows, diluting u(1)"
         );
-        assert!(engine.reputation(u(0), u(2)) > 0.0);
+        assert!(engine.view().reputation(u(0), u(2)) > 0.0);
         let mut reference = engine.clone();
         reference.full_rebuild(day3);
         assert_engines_match(&engine, &reference);

@@ -5,14 +5,15 @@
 //! > is applied to downloads of users with lower reputations."*
 //!
 //! [`ServicePolicy`] maps a requester's reputation (as seen by the
-//! uploader) to a [`ServiceDecision`]: how far the request jumps ahead in
+//! uploader, scaled by
+//! [`EngineSnapshot::relative_reputation`](crate::EngineSnapshot::relative_reputation))
+//! to a [`ServiceDecision`]: how far the request jumps ahead in
 //! the upload queue and what fraction of the uploader's bandwidth it may
 //! consume. Uploading real files, voting, ranking honestly, and deleting
 //! fakes quickly all raise reputation and therefore buy better service —
 //! that feedback loop is the whole point of combining trust with incentive.
 
-use crate::reputation::ReputationMatrix;
-use mdrep_types::{SimDuration, UserId};
+use mdrep_types::SimDuration;
 use std::fmt;
 
 /// The service an uploader grants one request.
@@ -197,32 +198,31 @@ impl ServicePolicy {
             }
         }
     }
-
-    /// Decides service for `requester` as seen by `uploader`, scaling the
-    /// raw `RM` entry by the uploader's largest outgoing reputation so that
-    /// "my most trusted peer" always maps to `r = 1`.
-    #[must_use]
-    pub fn decide(
-        &self,
-        rm: &ReputationMatrix,
-        uploader: UserId,
-        requester: UserId,
-    ) -> ServiceDecision {
-        let raw = rm.reputation(uploader, requester);
-        let row_max = rm.row_max(uploader);
-        let r = if row_max > 0.0 { raw / row_max } else { 0.0 };
-        self.decide_scaled(r)
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::params::Params;
+    use crate::reputation::ReputationMatrix;
+    use crate::snapshot::EngineSnapshot;
     use mdrep_matrix::{CsrMatrix, SparseMatrix};
+    use mdrep_types::UserId;
 
     fn u(i: u64) -> UserId {
         UserId::new(i)
+    }
+
+    /// A view whose `RM` is the one-step matrix `tm`.
+    fn view_of(tm: &SparseMatrix) -> EngineSnapshot {
+        let params = Params::default();
+        EngineSnapshot {
+            rm: Some(ReputationMatrix::compute_csr(
+                CsrMatrix::freeze(tm),
+                &params,
+            )),
+            ..EngineSnapshot::empty(params)
+        }
     }
 
     #[test]
@@ -259,12 +259,12 @@ mod tests {
         let mut tm = SparseMatrix::new();
         tm.set(u(0), u(1), 0.6).unwrap();
         tm.set(u(0), u(2), 0.3).unwrap();
-        let rm = ReputationMatrix::compute_csr(CsrMatrix::freeze(&tm), &Params::default());
+        let view = view_of(&tm);
         let policy = ServicePolicy::default();
 
-        let best = policy.decide(&rm, u(0), u(1));
-        let half = policy.decide(&rm, u(0), u(2));
-        let stranger = policy.decide(&rm, u(0), u(9));
+        let best = view.service(u(0), u(1), &policy);
+        let half = view.service(u(0), u(2), &policy);
+        let stranger = view.service(u(0), u(9), &policy);
 
         assert_eq!(
             best.queue_offset,
@@ -281,10 +281,9 @@ mod tests {
 
     #[test]
     fn uploader_with_no_trust_throttles_everyone() {
-        let tm = SparseMatrix::new();
-        let rm = ReputationMatrix::compute_csr(CsrMatrix::freeze(&tm), &Params::default());
+        let view = view_of(&SparseMatrix::new());
         let policy = ServicePolicy::default();
-        let d = policy.decide(&rm, u(0), u(1));
+        let d = view.service(u(0), u(1), &policy);
         assert!(d.is_throttled());
         assert_eq!(d.queue_offset, SimDuration::ZERO);
     }

@@ -29,8 +29,9 @@
 //!    re-examination ([`audit`]).
 //!
 //! The [`ReputationEngine`] ties it all together: feed it trace events
-//! (downloads, votes, deletions, ratings) and query reputations, file
-//! verdicts, and service decisions.
+//! (downloads, votes, deletions, ratings), recompute, and query
+//! reputations, file verdicts, and service decisions through its
+//! [`view`](ReputationEngine::view), an [`EngineSnapshot`].
 //!
 //! # Quick start
 //!
@@ -48,7 +49,7 @@
 //! engine.recompute(SimTime::ZERO);
 //!
 //! // Download volume gives Alice direct trust in Bob.
-//! assert!(engine.reputation(alice, bob) > 0.0);
+//! assert!(engine.view().reputation(alice, bob) > 0.0);
 //! ```
 
 #![forbid(unsafe_code)]

@@ -281,7 +281,7 @@ proptest! {
             .iter()
             .map(|&(o, v)| OwnerEvaluation::new(UserId::new(o), v))
             .collect();
-        let batch = engine.file_reputation_batch(&viewers, &evals);
+        let batch = engine.view().file_reputation_batch(&viewers, &evals);
         prop_assert_eq!(batch.len(), viewers.len());
         for (k, &viewer) in viewers.iter().enumerate() {
             let mut weighted = 0.0;
@@ -334,7 +334,9 @@ fn csr_empty_engine_edge_cases() {
     assert_eq!(rm.row_max(UserId::new(0)), 0.0);
     let evals = [OwnerEvaluation::new(UserId::new(1), Evaluation::BEST)];
     assert_eq!(
-        engine.file_reputation_batch(&[UserId::new(0)], &evals),
+        engine
+            .view()
+            .file_reputation_batch(&[UserId::new(0)], &evals),
         vec![None]
     );
 }
@@ -350,8 +352,8 @@ fn csr_zero_row_viewers_score_none() {
     engine.recompute(SimTime::ZERO);
     let evals = [OwnerEvaluation::new(b, Evaluation::BEST)];
     let stranger = UserId::new(77);
-    let batch = engine.file_reputation_batch(&[a, stranger], &evals);
-    assert_eq!(batch[0], engine.file_reputation(a, &evals));
+    let batch = engine.view().file_reputation_batch(&[a, stranger], &evals);
+    assert_eq!(batch[0], engine.view().file_reputation(a, &evals));
     assert!(batch[0].is_some());
     assert_eq!(batch[1], None, "stranger has no RM row");
 }

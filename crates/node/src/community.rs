@@ -296,7 +296,10 @@ impl Community {
 
         // Steps 4–5: decide from the downloader's own reputation state.
         let peer = self.peers.get(&downloader).expect("checked above");
-        let decision = peer.engine().decide_download(downloader, &evaluations);
+        let decision = peer
+            .engine()
+            .view()
+            .decide_download(downloader, &evaluations);
         let prior = match decision {
             DownloadDecision::Reject { reputation } => {
                 return Ok(DownloadOutcome::RejectedAsFake { reputation });
@@ -309,7 +312,12 @@ impl Community {
         // servent literature the paper cites does: prefer the source the
         // downloader trusts most (ties and strangers break by lowest id,
         // keeping the choice deterministic).
-        let viewer_engine = self.peers.get(&downloader).expect("checked above").engine();
+        let view = self
+            .peers
+            .get(&downloader)
+            .expect("checked above")
+            .engine()
+            .view();
         let uploader = evaluations
             .iter()
             .map(|oe| oe.owner)
@@ -319,9 +327,8 @@ impl Community {
                     && self.peers.get(&owner).is_some_and(|p| p.holds(file))
             })
             .max_by(|&a, &b| {
-                viewer_engine
-                    .reputation(downloader, a)
-                    .partial_cmp(&viewer_engine.reputation(downloader, b))
+                view.reputation(downloader, a)
+                    .partial_cmp(&view.reputation(downloader, b))
                     .expect("reputations are finite")
                     .then(b.cmp(&a)) // lower id wins ties
             });
@@ -336,7 +343,10 @@ impl Community {
             .copied()
             .unwrap_or(FileSize::ZERO);
         let uploader_peer = self.peers.get(&uploader).expect("holder is a peer");
-        let relative = relative_reputation(uploader_peer.engine(), uploader, downloader);
+        let relative = uploader_peer
+            .engine()
+            .view()
+            .relative_reputation(uploader, downloader);
         let service = if self.config.contribution_weight > 0.0 {
             self.config.policy.decide_with_contribution(
                 relative,
@@ -468,23 +478,6 @@ impl Community {
             .publish(&mut self.dht, &key, user, file, evaluation, now)
             .map(|_| ())
             .map_err(CommunityError::from)
-    }
-}
-
-/// Row-max-scaled reputation (the same scaling the simulator applies).
-fn relative_reputation(engine: &ReputationEngine, viewer: UserId, target: UserId) -> f64 {
-    let raw = engine.reputation(viewer, target);
-    if raw == 0.0 {
-        return 0.0;
-    }
-    let row_max = engine
-        .reputation_matrix()
-        .map(|rm| rm.row_max(viewer))
-        .unwrap_or(0.0);
-    if row_max > 0.0 {
-        raw / row_max
-    } else {
-        0.0
     }
 }
 
@@ -704,8 +697,8 @@ mod tests {
             caught += c.tick(now);
         }
         assert!(caught >= 1, "the audit rotation must catch the flip");
-        assert!(c.peer(u(0)).unwrap().engine().is_punished(cheat));
-        assert!(c.peer(u(5)).unwrap().engine().is_punished(cheat));
+        assert!(c.peer(u(0)).unwrap().engine().view().is_punished(cheat));
+        assert!(c.peer(u(5)).unwrap().engine().view().is_punished(cheat));
     }
 
     #[test]

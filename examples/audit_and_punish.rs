@@ -1,11 +1,12 @@
 //! Proactive audits and punishment (Section 4.2, attack 3): a virtual
 //! user re-examines published evaluation lists at random; a user caught
-//! swapping in a copied list is punished — its reputation reads as zero
-//! and its published evaluations stop counting in Equation 9.
+//! swapping in a copied list is punished — its reputation reads as zero,
+//! its published evaluations stop counting in Equation 9, and uploaders
+//! serve it as a stranger.
 //!
 //! Run with: `cargo run --example audit_and_punish`
 
-use mdrep_repro::core::{Auditor, OwnerEvaluation, Params, ReputationEngine};
+use mdrep_repro::core::{Auditor, OwnerEvaluation, Params, ReputationEngine, ServicePolicy};
 use mdrep_repro::types::{Evaluation, SimDuration, SimTime, UserId};
 use mdrep_repro::workload::{BehaviorMix, TraceBuilder, WorkloadConfig};
 
@@ -48,7 +49,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     for &user in &subjects[1..] {
         let outcome = engine.audit_user(&mut auditor, user, later);
         println!("audit #2 of {user}: {outcome}");
-        assert!(!engine.is_punished(user));
+        assert!(!engine.view().is_punished(user));
     }
 
     // The cheater copies someone else's (inverted) list: re-vote everything
@@ -65,25 +66,29 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     }
     let outcome = engine.audit_user(&mut auditor, cheater, later);
     println!("audit #2 of {cheater} (after list swap): {outcome}");
-    assert!(engine.is_punished(cheater));
+    assert!(engine.view().is_punished(cheater));
 
     // Consequences: zero reputation, evaluations ignored, stranger service.
     let observer = subjects[1];
     println!(
         "{observer}'s reputation in {cheater}: {:.4} (punished)",
-        engine.reputation(observer, cheater)
+        engine.view().reputation(observer, cheater)
     );
     let evals = [OwnerEvaluation::new(cheater, Evaluation::BEST)];
     println!(
         "Equation 9 with only the cheater's evaluation: {:?}",
-        engine.file_reputation(observer, &evals)
+        engine.view().file_reputation(observer, &evals)
     );
+    let policy = ServicePolicy::default();
+    let service = engine.view().service(observer, cheater, &policy);
+    println!("service {observer} grants {cheater}: {service}");
+    assert_eq!(service, policy.decide_scaled(0.0), "stranger service");
 
     // A pardon (e.g. after the interval expires) restores the user.
     engine.pardon(cheater);
     println!(
         "after pardon, reputation restored to {:.4}",
-        engine.reputation(observer, cheater)
+        engine.view().reputation(observer, cheater)
     );
     Ok(())
 }

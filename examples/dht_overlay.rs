@@ -93,9 +93,9 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     engine.recompute(t20h);
     println!(
         "step 4: {u4}'s reputations: {u1} {:.3}, {u2} {:.3}, {u3} {:.3}",
-        engine.reputation(u4, u1),
-        engine.reputation(u4, u2),
-        engine.reputation(u4, u3),
+        engine.view().reputation(u4, u1),
+        engine.view().reputation(u4, u2),
+        engine.view().reputation(u4, u3),
     );
 
     // Step 5 — file reputation from the verified records (Equation 9).
@@ -104,7 +104,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         .filter(|r| r.valid)
         .map(|r| OwnerEvaluation::new(r.info.owner, r.info.evaluation))
         .collect();
-    let decision = engine.decide_download(u4, &owner_evals);
+    let decision = engine.view().decide_download(u4, &owner_evals);
     println!("step 5: {u4}'s verdict on {file}: {decision}");
 
     // Step 6 — service differentiation: how u1 would serve u4's request.
@@ -112,7 +112,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // we seed that with a rating for brevity.
     engine.observe_rank(u1, u4, Evaluation::BEST);
     engine.recompute(t20h);
-    let service = engine.service(u1, u4, &ServicePolicy::default());
+    let service = engine.view().service(u1, u4, &ServicePolicy::default());
     println!("step 6: {u1} grants {u4}: {service}");
 
     // Attack 3: a copied evaluation list is caught by the proactive audit.

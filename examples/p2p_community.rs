@@ -87,7 +87,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let mean = |range: std::ops::Range<u64>| {
         let values: Vec<f64> = range
             .clone()
-            .map(|i| engine.reputation(judge, UserId::new(i)))
+            .map(|i| engine.view().reputation(judge, UserId::new(i)))
             .collect();
         values.iter().sum::<f64>() / values.len() as f64
     };

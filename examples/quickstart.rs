@@ -63,11 +63,11 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             .take(16)
             .collect();
         let viewer = UserId::new(0);
-        match engine.file_reputation(viewer, &evals) {
+        match engine.view().file_reputation(viewer, &evals) {
             Some(r) => println!(
                 "fake file {fake}: reputation {r} as seen by {viewer} ({} evaluators) → {}",
                 evals.len(),
-                engine.decide_download(viewer, &evals),
+                engine.view().decide_download(viewer, &evals),
             ),
             None => println!("fake file {fake}: no reputable evaluators for {viewer} yet"),
         }
@@ -86,13 +86,14 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         .map(UserId::new)
         .max_by(|&a, &b| {
             engine
+                .view()
                 .reputation(uploader, a)
-                .partial_cmp(&engine.reputation(uploader, b))
+                .partial_cmp(&engine.view().reputation(uploader, b))
                 .expect("finite")
         })
         .expect("non-empty");
-    let friend_service = engine.service(uploader, best_known, &policy);
-    let stranger_service = engine.service(uploader, UserId::new(9_999), &policy);
+    let friend_service = engine.view().service(uploader, best_known, &policy);
+    let stranger_service = engine.view().service(uploader, UserId::new(9_999), &policy);
     println!("service for best-known peer: {friend_service}");
     println!("service for a stranger:      {stranger_service}");
 
@@ -107,7 +108,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
                     && viewer.behavior() == mdrep_repro::workload::Behavior::Honest
                     && target_filter(target.behavior())
                 {
-                    total += engine.reputation(viewer.id(), target.id());
+                    total += engine.view().reputation(viewer.id(), target.id());
                     count += 1;
                 }
             }

@@ -82,7 +82,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         .collect();
     println!(
         "replayed engine: {:.1}% request coverage over {} downloads",
-        engine.request_coverage(&requests) * 100.0,
+        engine.view().request_coverage(&requests) * 100.0,
         requests.len(),
     );
 
@@ -92,8 +92,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     }
     reference.recompute(end);
     assert_eq!(
-        engine.request_coverage(&requests),
-        reference.request_coverage(&requests),
+        engine.view().request_coverage(&requests),
+        reference.view().request_coverage(&requests),
         "log replay matches the original trace exactly"
     );
     println!("replay matches the directly-fed engine bit for bit");

@@ -29,7 +29,7 @@
 //! engine.observe_download(SimTime::ZERO, alice, bob, FileId::new(0), FileSize::from_mib(100));
 //! engine.observe_vote(SimTime::ZERO, alice, FileId::new(0), Evaluation::BEST);
 //! engine.recompute(SimTime::ZERO);
-//! assert!(engine.reputation(alice, bob) > 0.0);
+//! assert!(engine.view().reputation(alice, bob) > 0.0);
 //! ```
 //!
 //! See `examples/` for runnable end-to-end scenarios and `DESIGN.md` /

@@ -94,11 +94,11 @@ fn collusion_inflates_eigentrust_not_multidimensional() {
     let mut md_honest_values = Vec::new();
     for &v in &honest {
         for &c in &clique {
-            md_clique_values.push(md.reputation(v, c));
+            md_clique_values.push(md.view().reputation(v, c));
         }
         for &h in &honest {
             if h != v {
-                md_honest_values.push(md.reputation(v, h));
+                md_honest_values.push(md.view().reputation(v, h));
             }
         }
     }
@@ -131,11 +131,15 @@ fn whitewashing_resets_to_stranger_service() {
         md.observe_vote(t, a, f, Evaluation::BEST);
     }
     md.recompute(t);
-    assert!(md.reputation(a, b) > 0.0);
+    assert!(md.view().reputation(a, b) > 0.0);
 
     md.observe_whitewash(b);
     md.recompute(t);
-    assert_eq!(md.reputation(a, b), 0.0, "fresh identity owns nothing");
+    assert_eq!(
+        md.view().reputation(a, b),
+        0.0,
+        "fresh identity owns nothing"
+    );
 }
 
 /// The audit (attack 3) catches a user who swaps its evaluation list for a

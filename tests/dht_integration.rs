@@ -75,6 +75,7 @@ fn figure_two_pipeline_end_to_end() {
         .map(|r| OwnerEvaluation::new(r.info.owner, r.info.evaluation))
         .collect();
     let rep = engine
+        .view()
         .file_reputation(viewer, &evals)
         .expect("owner 1 is reputable");
     assert!(
@@ -310,6 +311,7 @@ fn partial_owner_lists_still_yield_file_reputations() {
         .map(|r| OwnerEvaluation::new(r.info.owner, r.info.evaluation))
         .collect();
     let rep = engine
+        .view()
         .file_reputation(viewer, &evals)
         .expect("owner 1 is reputable and present");
     assert!(

@@ -31,7 +31,7 @@ fn build() -> (Trace, ReputationEngine, SimTime) {
 #[test]
 fn coverage_is_substantial_with_implicit_evaluations() {
     let (trace, engine, _) = build();
-    let coverage = engine.request_coverage(&trace.request_pairs());
+    let coverage = engine.view().request_coverage(&trace.request_pairs());
     assert!(
         coverage > 0.5,
         "implicit evaluations should cover most requests, got {coverage}"
@@ -70,7 +70,7 @@ fn fake_files_score_below_authentic_files_on_average() {
             }
             let mut scores = Vec::new();
             for &viewer in &viewers {
-                if let Some(r) = engine.file_reputation(viewer, &evals) {
+                if let Some(r) = engine.view().file_reputation(viewer, &evals) {
                     scores.push(r.value());
                 }
             }
@@ -118,8 +118,10 @@ fn strangers_get_throttled_friends_do_not() {
         .max_by(|a, b| a.1.partial_cmp(&b.1).expect("finite"))
         .map(|(u, _)| u)
         .expect("non-empty row");
-    let friend = engine.service(someone, best, &policy);
-    let stranger = engine.service(someone, UserId::new(999_999), &policy);
+    let friend = engine.view().service(someone, best, &policy);
+    let stranger = engine
+        .view()
+        .service(someone, UserId::new(999_999), &policy);
     assert!(!friend.is_throttled());
     assert!(stranger.is_throttled());
     assert!(friend.queue_offset > stranger.queue_offset);
@@ -129,13 +131,13 @@ fn strangers_get_throttled_friends_do_not() {
 #[test]
 fn expiry_shrinks_the_store_and_coverage() {
     let (trace, mut engine, end) = build();
-    let before = engine.request_coverage(&trace.request_pairs());
+    let before = engine.view().request_coverage(&trace.request_pairs());
     // Jump far beyond the evaluation interval: everything expires.
     let far = end + SimDuration::from_days(60);
     let dropped = engine.expire(far);
     assert!(dropped > 0);
     engine.recompute(far);
-    let after = engine.request_coverage(&trace.request_pairs());
+    let after = engine.view().request_coverage(&trace.request_pairs());
     assert!(
         after < before,
         "coverage must fall after expiry: {after} vs {before}"
@@ -179,7 +181,7 @@ fn honest_observers_rank_polluters_below_honest_peers() {
             if viewer.id() == target.id() {
                 continue;
             }
-            let r = engine.reputation(viewer.id(), target.id());
+            let r = engine.view().reputation(viewer.id(), target.id());
             match target.behavior() {
                 Behavior::Honest => {
                     honest_sum.0 += r;

@@ -79,8 +79,8 @@ fn log_replay_is_equivalent_to_direct_feeding() {
     // And identical coverage over the request log.
     let requests = trace.request_pairs();
     assert_eq!(
-        direct.request_coverage(&requests),
-        replayed.request_coverage(&requests)
+        direct.view().request_coverage(&requests),
+        replayed.view().request_coverage(&requests)
     );
     // Published evaluations match too (the DHT-facing surface).
     let someone = UserId::new(5);

@@ -110,6 +110,7 @@ fn whitewashing_forfeits_everything() {
         .peer(observer)
         .unwrap()
         .engine()
+        .view()
         .reputation(observer, cheat);
     assert!(before > 0.0);
     let old_score = c.peer(cheat).unwrap().ledger().score(cheat);
@@ -127,6 +128,7 @@ fn whitewashing_forfeits_everything() {
         c.peer(observer)
             .unwrap()
             .engine()
+            .view()
             .reputation(observer, fresh),
         0.0,
         "nobody knows the fresh identity"
