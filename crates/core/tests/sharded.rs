@@ -17,6 +17,7 @@
 
 use mdrep::{EngineSnapshot, Params, RecomputeMode, ReputationEngine, ShardedEngine};
 use mdrep_types::{Evaluation, FileId, FileSize, SimDuration, SimTime, UserId};
+use mdrep_workload::{BehaviorMix, EventKind, TraceBuilder, WorkloadConfig};
 use proptest::prelude::*;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -152,6 +153,53 @@ proptest! {
 /// hashed with byte-for-byte the same mixing as [`EngineSnapshot::digest`].
 /// Equality proves the COW overlay view enumerates exactly the entries a
 /// full clone would.
+/// Trace ingest: `ShardedEngine::observe_trace_event` (through
+/// `EngineEvent::from_trace`, which resolves sizes from the catalog and
+/// drops `Join` events) publishes the same RM, bit for bit, as the plain
+/// engine's `observe_trace_event` on a realistic trace.
+#[test]
+fn trace_ingest_matches_unsharded_engine() {
+    let config = WorkloadConfig::builder()
+        .users(30)
+        .titles(20)
+        .days(2)
+        .behavior_mix(BehaviorMix::realistic())
+        .seed(3)
+        .build()
+        .expect("valid config");
+    let trace = TraceBuilder::new(config).generate();
+    let mut plain = ReputationEngine::new(Params::default());
+    let sharded = ShardedEngine::new(Params::default(), 4);
+    for event in trace.events() {
+        plain.observe_trace_event(event, trace.catalog());
+        sharded.observe_trace_event(event, trace.catalog());
+    }
+    let joins = trace
+        .events()
+        .iter()
+        .filter(|e| matches!(e.kind, EventKind::Join { .. }))
+        .count();
+    assert!(joins > 0, "the trace exercises the Join drop");
+    assert_eq!(sharded.pending_events(), trace.events().len() - joins);
+
+    let end = SimTime::ZERO + SimDuration::from_days(2);
+    plain.recompute(end);
+    assert_eq!(sharded.recompute_epoch(end), 1);
+
+    let snap = sharded.snapshot();
+    assert_eq!(snap.epoch(), 1);
+    assert_eq!(
+        snap.reputation_matrix().expect("computed").matrix(),
+        plain.reputation_matrix().expect("computed").matrix(),
+        "RM diverged between sharded and plain trace ingest"
+    );
+    let pairs = trace.request_pairs();
+    assert_eq!(
+        snap.request_coverage(&pairs).to_bits(),
+        plain.view().request_coverage(&pairs).to_bits()
+    );
+}
+
 fn full_clone_digest(snap: &EngineSnapshot) -> u64 {
     let mut h: u64 = 0xcbf2_9ce4_8422_2325;
     let mut mix = |x: u64| {
