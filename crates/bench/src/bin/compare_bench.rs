@@ -23,7 +23,10 @@
 //! that a full rebuild costs at least 5× an incremental recompute
 //! (`--min`), or that tracing overhead stays within 3% (`--max 1.03`) —
 //! which is machine-independent by construction. `--min` and `--max`
-//! compose: give both to bound the ratio from both sides.
+//! compose: give both to bound the ratio from both sides. Parallel ratios
+//! still depend on how many cores the runner has, so both the ok line and
+//! the failure line name the core count the gate ran on
+//! (`std::thread::available_parallelism`).
 //!
 //! The directory mode discovers baselines instead of taking an explicit
 //! file list: every `BENCH_<name>.json` in `--baseline-dir` is compared
@@ -72,7 +75,8 @@ fn run(args: &[String]) -> Result<String, String> {
                 (None, Some(_)) => None,
                 (min, _) => Some(min.unwrap_or(1.0)),
             };
-            check_ratio(&digest, &num, &den, min, opts.max)
+            let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
+            check_ratio(&digest, &num, &den, min, opts.max, cores)
         }
         None => {
             let [baseline, current] = files.as_slice() else {
@@ -195,6 +199,7 @@ fn check_ratio(
     den: &str,
     min: Option<f64>,
     max: Option<f64>,
+    cores: usize,
 ) -> Result<String, String> {
     let numerator = *digest
         .get(num)
@@ -209,14 +214,16 @@ fn check_ratio(
     if let Some(min) = min {
         if ratio < min {
             return Err(format!(
-                "ratio {num} / {den} = {ratio:.2}, below required minimum {min:.2}"
+                "ratio {num} / {den} = {ratio:.2}, below required minimum {min:.2} \
+                 on {cores} cores"
             ));
         }
     }
     if let Some(max) = max {
         if ratio > max {
             return Err(format!(
-                "ratio {num} / {den} = {ratio:.3}, above allowed maximum {max:.3}"
+                "ratio {num} / {den} = {ratio:.3}, above allowed maximum {max:.3} \
+                 on {cores} cores"
             ));
         }
     }
@@ -226,7 +233,9 @@ fn check_ratio(
         (None, Some(hi)) => format!("<= {hi:.3}"),
         (None, None) => "unbounded".into(),
     };
-    Ok(format!("ratio {num} / {den} = {ratio:.3} ({bounds}) — ok"))
+    Ok(format!(
+        "ratio {num} / {den} = {ratio:.3} ({bounds}) on {cores} cores — ok"
+    ))
 }
 
 /// Maps a baseline filename (`BENCH_<name>.json`) to its current-digest
@@ -379,9 +388,9 @@ mod tests {
     #[test]
     fn ratio_mode_enforces_minimum() {
         let d = digest(&[("full", 1000.0), ("inc", 100.0)]);
-        assert!(check_ratio(&d, "full", "inc", Some(5.0), None).is_ok());
-        assert!(check_ratio(&d, "full", "inc", Some(20.0), None).is_err());
-        assert!(check_ratio(&d, "missing", "inc", Some(1.0), None).is_err());
+        assert!(check_ratio(&d, "full", "inc", Some(5.0), None, 2).is_ok());
+        assert!(check_ratio(&d, "full", "inc", Some(20.0), None, 2).is_err());
+        assert!(check_ratio(&d, "missing", "inc", Some(1.0), None, 2).is_err());
     }
 
     #[test]
@@ -389,11 +398,22 @@ mod tests {
         // The tracing-overhead shape: on/off must stay within a few
         // percent of parity.
         let d = digest(&[("on", 102.0), ("off", 100.0)]);
-        assert!(check_ratio(&d, "on", "off", None, Some(1.03)).is_ok());
-        assert!(check_ratio(&d, "on", "off", None, Some(1.01)).is_err());
+        assert!(check_ratio(&d, "on", "off", None, Some(1.03), 2).is_ok());
+        assert!(check_ratio(&d, "on", "off", None, Some(1.01), 2).is_err());
         // Both bounds at once.
-        assert!(check_ratio(&d, "on", "off", Some(0.9), Some(1.1)).is_ok());
-        assert!(check_ratio(&d, "on", "off", Some(1.05), Some(1.1)).is_err());
+        assert!(check_ratio(&d, "on", "off", Some(0.9), Some(1.1), 2).is_ok());
+        assert!(check_ratio(&d, "on", "off", Some(1.05), Some(1.1), 2).is_err());
+    }
+
+    #[test]
+    fn ratio_mode_reports_the_core_count() {
+        let d = digest(&[("serial", 300.0), ("parallel", 100.0)]);
+        let ok = check_ratio(&d, "serial", "parallel", Some(2.0), None, 8).unwrap();
+        assert!(ok.contains("on 8 cores"), "{ok}");
+        let low = check_ratio(&d, "serial", "parallel", Some(4.0), None, 4).unwrap_err();
+        assert!(low.contains("on 4 cores"), "{low}");
+        let high = check_ratio(&d, "serial", "parallel", None, Some(2.0), 2).unwrap_err();
+        assert!(high.contains("on 2 cores"), "{high}");
     }
 
     #[test]

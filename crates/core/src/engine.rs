@@ -12,12 +12,13 @@ use crate::eval::EvaluationStore;
 use crate::file_trust::{ft_row, FileTrust, FileTrustOptions};
 use crate::params::Params;
 use crate::reputation::ReputationMatrix;
+use crate::sharded::EngineEvent;
 use crate::snapshot::EngineSnapshot;
 use crate::user_trust::UserTrust;
 use crate::volume_trust::VolumeTrust;
-use mdrep_matrix::{blend_frozen, normalize_row_mut, shard_ranges, CsrMatrix, UserIndex};
+use mdrep_matrix::{blend_frozen, normalize_row_mut, par_chunks, CsrMatrix, UserIndex};
 use mdrep_types::{Evaluation, FileId, FileSize, SimTime, UserId};
-use mdrep_workload::{Catalog, EventKind, TraceEvent};
+use mdrep_workload::{Catalog, TraceEvent};
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;
 
@@ -98,6 +99,13 @@ pub struct ReputationEngine {
     /// has many co-evaluators, and expanding once per recompute instead of
     /// once per event keeps ingestion O(log n) per event.
     dirty_files: BTreeSet<FileId>,
+    /// Users whose `DM` row must be rebuilt. A `VD` row depends only on the
+    /// downloader's own evaluations and download log, so events dirty
+    /// single rows (plus, on a whitewash, every downloader that had the
+    /// removed user as an uploader).
+    dm_dirty: BTreeSet<UserId>,
+    /// Users whose `UM` row must be rebuilt: raters whose ratings changed.
+    um_dirty: BTreeSet<UserId>,
     /// The computed state — params, components, `RM`, punished set — as the
     /// read view every query goes through. Its `as_of` is the time of the
     /// last recompute; its epoch stays 0 until
@@ -126,13 +134,6 @@ struct RowPatch {
     dm: Option<Arc<mdrep_matrix::SparseVector>>,
     um: Option<Arc<mdrep_matrix::SparseVector>>,
     tm: Arc<mdrep_matrix::SparseVector>,
-}
-
-/// Approximate heap bytes of one published overlay row slab — the same
-/// unit [`CsrMatrix::overlay_bytes`] prices rows in, so the publish gauges
-/// and the matrix-side accounting stay comparable.
-fn row_slab_bytes(len: usize) -> usize {
-    mdrep_matrix::approx_row_bytes(len)
 }
 
 /// A freshly built raw row as a published `FM`/`DM`/`UM` slab: normalized
@@ -171,6 +172,8 @@ impl ReputationEngine {
             user_trust: UserTrust::new(),
             fm_dirty: BTreeSet::new(),
             dirty_files: BTreeSet::new(),
+            dm_dirty: BTreeSet::new(),
+            um_dirty: BTreeSet::new(),
             view: EngineSnapshot::empty(params),
             last_mode: None,
             last_dirty_rows: 0,
@@ -233,6 +236,7 @@ impl ReputationEngine {
         self.volume
             .record_download(downloader, uploader, file, size);
         if self.dirty_tracking_enabled() {
+            self.dm_dirty.insert(downloader);
             self.dirty_file_coevaluators(file);
         }
     }
@@ -244,7 +248,7 @@ impl ReputationEngine {
         if self.dirty_tracking_enabled() {
             // Publication resets the retention clock, which can change the
             // user's own download-volume row too.
-            self.volume.mark_dirty(user);
+            self.dm_dirty.insert(user);
             self.dirty_file_coevaluators(file);
         }
     }
@@ -253,7 +257,7 @@ impl ReputationEngine {
     pub fn observe_vote(&mut self, time: SimTime, user: UserId, file: FileId, value: Evaluation) {
         self.evals.record_vote(time, user, file, value);
         if self.dirty_tracking_enabled() {
-            self.volume.mark_dirty(user);
+            self.dm_dirty.insert(user);
             self.dirty_file_coevaluators(file);
         }
     }
@@ -262,21 +266,25 @@ impl ReputationEngine {
     pub fn observe_delete(&mut self, time: SimTime, user: UserId, file: FileId) {
         self.evals.record_delete(time, user, file);
         if self.dirty_tracking_enabled() {
-            self.volume.mark_dirty(user);
+            self.dm_dirty.insert(user);
             self.dirty_file_coevaluators(file);
         }
     }
 
-    /// Records a user-to-user rating.
+    /// Records a user-to-user rating (self-ratings are ignored).
     pub fn observe_rank(&mut self, rater: UserId, target: UserId, value: Evaluation) {
         self.user_trust.rate(rater, target, value);
+        if rater != target && self.dirty_tracking_enabled() {
+            self.um_dirty.insert(rater);
+        }
     }
 
     /// Handles a whitewash: the user's entire history disappears, exactly
     /// what makes whitewashing unprofitable — the fresh identity also has
     /// zero reputation and gets stranger-level service.
     pub fn observe_whitewash(&mut self, user: UserId) {
-        if self.dirty_tracking_enabled() {
+        let tracking = self.dirty_tracking_enabled();
+        if tracking {
             // Every co-evaluator of the user's files can gain a pair (cap
             // prefixes shift) or lose its pair with `user`; every FT partner
             // is one of them. The user's own row empties.
@@ -287,37 +295,22 @@ impl ReputationEngine {
             self.fm_dirty.insert(user);
         }
         self.evals.remove_user(user);
-        self.volume.remove_user(user);
-        self.user_trust.remove_user(user);
+        let downloaders = self.volume.remove_user(user);
+        let raters = self.user_trust.remove_user(user);
+        if tracking {
+            self.dm_dirty.insert(user);
+            self.dm_dirty.extend(downloaders);
+            self.um_dirty.insert(user);
+            self.um_dirty.extend(raters);
+        }
     }
 
     /// Feeds one workload trace event; file sizes are resolved through the
     /// catalog (unknown files fall back to zero size, contributing no
     /// volume trust).
     pub fn observe_trace_event(&mut self, event: &TraceEvent, catalog: &Catalog) {
-        match event.kind {
-            EventKind::Join { .. } => {}
-            EventKind::Publish { user, file } => self.observe_publish(event.time, user, file),
-            EventKind::Download {
-                downloader,
-                uploader,
-                file,
-            } => {
-                let size = catalog.file_meta(file).map_or(FileSize::ZERO, |m| m.size);
-                self.observe_download(event.time, downloader, uploader, file, size);
-            }
-            EventKind::Vote { user, file, value } => {
-                self.observe_vote(event.time, user, file, value);
-            }
-            EventKind::Delete { user, file } => self.observe_delete(event.time, user, file),
-            EventKind::RankUser {
-                rater,
-                target,
-                value,
-            } => {
-                self.observe_rank(rater, target, value);
-            }
-            EventKind::Whitewash { user } => self.observe_whitewash(user),
+        if let Some(event) = EngineEvent::from_trace(event, catalog) {
+            event.apply_to(self);
         }
     }
 
@@ -327,7 +320,7 @@ impl ReputationEngine {
         let dropped = self.evals.expire_detailed(now, &self.view.params);
         if self.dirty_tracking_enabled() {
             for &(user, file) in &dropped {
-                self.volume.mark_dirty(user);
+                self.dm_dirty.insert(user);
                 self.fm_dirty.insert(user);
                 // The record is already gone, so this reaches exactly the
                 // *remaining* evaluators whose pairs with `user` must drop.
@@ -435,7 +428,7 @@ impl ReputationEngine {
                 return RecomputeMode::FallbackFull;
             }
             for user in drifting {
-                self.volume.mark_dirty(user);
+                self.dm_dirty.insert(user);
                 self.fm_dirty.insert(user);
                 let files: Vec<FileId> = self.evals.files_of(user).collect();
                 for file in files {
@@ -457,8 +450,8 @@ impl ReputationEngine {
         let threads = self.view.params.effective_threads();
         self.dirty_files.clear();
         self.fm_dirty.clear();
-        self.volume.clear_dirty();
-        self.user_trust.clear_dirty();
+        self.dm_dirty.clear();
+        self.um_dirty.clear();
         // Build the raw matrices first, then freeze all three under one
         // shared interner so the blend and power kernels can assume a
         // common dense column space. Row normalization (Eqs. 3/5/6) is
@@ -509,14 +502,14 @@ impl ReputationEngine {
     /// blending) goes through the same helpers as the batch path, in the
     /// same order, so the patched matrices are bit-identical to a rebuild.
     ///
-    /// The row work is **shard-parallel**: the sorted dirty-row union is
-    /// partitioned into contiguous shard-owned ranges
-    /// ([`shard_ranges`]) and each range's `FM`/`DM`/`UM` rows *and* its
-    /// blended `TM` row are rebuilt by one worker in a single pass. Rows
-    /// are pure per-row functions of the (immutable during the pass)
-    /// stores, and the partition depends only on the union and
-    /// [`Params::threads`](crate::Params::threads) — so the merged result
-    /// is bit-identical to the serial loop at any shard/thread count.
+    /// The row work is **row-parallel**: the sorted dirty-row union fans
+    /// out through [`par_chunks`] into contiguous chunks, and each chunk's
+    /// `FM`/`DM`/`UM` rows *and* its blended `TM` rows are rebuilt by one
+    /// worker in a single pass. Rows are pure per-row functions of the
+    /// (immutable during the pass) stores, and the chunking depends only
+    /// on the union and [`Params::threads`](crate::Params::threads) — so
+    /// the merged result is bit-identical to the serial loop at any
+    /// thread count.
     fn rebuild_incremental(&mut self, now: SimTime) {
         let threads = self.view.params.effective_threads();
         let mut comps = self
@@ -530,10 +523,10 @@ impl ReputationEngine {
             .take()
             .expect("incremental mode requires a prior RM");
 
-        // The three stores' dirty sets, each ascending.
+        // The three dirty sets, each ascending.
         let fm_dirty: Vec<UserId> = std::mem::take(&mut self.fm_dirty).into_iter().collect();
-        let dm_dirty = self.volume.take_dirty();
-        let um_dirty = self.user_trust.take_dirty();
+        let dm_dirty: Vec<UserId> = std::mem::take(&mut self.dm_dirty).into_iter().collect();
+        let um_dirty: Vec<UserId> = std::mem::take(&mut self.um_dirty).into_iter().collect();
 
         let mut union: Vec<UserId> =
             Vec::with_capacity(fm_dirty.len() + dm_dirty.len() + um_dirty.len());
@@ -545,11 +538,11 @@ impl ReputationEngine {
 
         // Parallel, pure: rebuild every dirty row (and its blend) without
         // touching the matrices. Workers own contiguous id ranges of the
-        // union; each consults the per-store dirty sets by binary search
+        // union; each consults the per-matrix dirty sets by binary search
         // and reads undirtied component rows straight from the frozen
         // matrices — exactly what the serial path would have read, because
         // a row absent from a dirty set is never patched.
-        let patches: Vec<RowPatch> = phase("engine.recompute.integrate", || {
+        let patches: Vec<Vec<RowPatch>> = phase("engine.recompute.integrate", || {
             let w = self.view.params.weights();
             let (volume, user_trust, evals, params, ft_options) = (
                 &self.volume,
@@ -558,9 +551,7 @@ impl ReputationEngine {
                 &self.view.params,
                 self.file_trust_options,
             );
-            let comps_ref = &comps;
-            let (fm_dirty, dm_dirty, um_dirty) = (&fm_dirty, &dm_dirty, &um_dirty);
-            let worker = move |rows: &[UserId]| -> Vec<RowPatch> {
+            par_chunks(&union, threads, |rows| {
                 rows.iter()
                     .map(|&u| {
                         let fm = fm_dirty
@@ -576,14 +567,14 @@ impl ReputationEngine {
                             .is_ok()
                             .then(|| normalized_slab(user_trust.ut_row(u)));
                         // The Equation 7 blend over the *fresh* rows where
-                        // dirty and the frozen rows where not — the same
-                        // values `blend_row_frozen` would see after the
-                        // merge, accumulated in the same part order.
+                        // dirty and the frozen rows where not — the rows
+                        // the matrices hold after the merge, accumulated
+                        // in `blend_frozen`'s part order.
                         let mut tm = mdrep_matrix::SparseVector::new();
                         for (weight, fresh, frozen) in [
-                            (w.alpha(), &fm, &comps_ref.fm),
-                            (w.beta(), &dm, &comps_ref.dm),
-                            (w.gamma(), &um, &comps_ref.um),
+                            (w.alpha(), &fm, &comps.fm),
+                            (w.beta(), &dm, &comps.dm),
+                            (w.gamma(), &um, &comps.um),
                         ] {
                             if weight == 0.0 {
                                 continue;
@@ -610,25 +601,8 @@ impl ReputationEngine {
                             tm: Arc::new(tm),
                         }
                     })
-                    .collect()
-            };
-            if threads == 1 || union.len() < 2 * threads {
-                worker(&union)
-            } else {
-                let worker = &worker;
-                let union = &union;
-                let partials: Vec<Vec<RowPatch>> = std::thread::scope(|scope| {
-                    let handles: Vec<_> = shard_ranges(union.len(), threads)
-                        .into_iter()
-                        .map(|range| scope.spawn(move || worker(&union[range])))
-                        .collect();
-                    handles
-                        .into_iter()
-                        .map(|h| h.join().expect("dirty-recompute shard panicked"))
-                        .collect()
-                });
-                partials.into_iter().flatten().collect()
-            }
+                    .collect::<Vec<_>>()
+            })
         });
 
         // Serial merge: fold the prebuilt slabs into the CSR overlays in
@@ -638,23 +612,23 @@ impl ReputationEngine {
         let one_step = self.view.params.steps() == 1;
         let publish_bytes = phase("engine.recompute.merge", || {
             let mut publish_bytes = 0usize;
-            for patch in patches {
+            for patch in patches.into_iter().flatten() {
                 let u = patch.user;
                 if let Some(row) = patch.fm {
-                    publish_bytes += row_slab_bytes(row.len());
+                    publish_bytes += mdrep_matrix::approx_row_bytes(row.len());
                     comps.fm.set_row_arc(u, row);
                 }
                 if let Some(row) = patch.dm {
-                    publish_bytes += row_slab_bytes(row.len());
+                    publish_bytes += mdrep_matrix::approx_row_bytes(row.len());
                     comps.dm.set_row_arc(u, row);
                 }
                 if let Some(row) = patch.um {
-                    publish_bytes += row_slab_bytes(row.len());
+                    publish_bytes += mdrep_matrix::approx_row_bytes(row.len());
                     comps.um.set_row_arc(u, row);
                 }
                 // One slab serves both matrices on the one-step path
                 // (overlay rows are immutable), so it is priced once.
-                publish_bytes += row_slab_bytes(patch.tm.len());
+                publish_bytes += mdrep_matrix::approx_row_bytes(patch.tm.len());
                 if one_step {
                     // RM = TM: patch both from the same blended slab.
                     comps.tm.set_row_arc(u, Arc::clone(&patch.tm));
@@ -733,8 +707,8 @@ impl ReputationEngine {
     #[must_use]
     pub fn pending_dirty_rows(&self) -> usize {
         let mut union: BTreeSet<UserId> = self.fm_dirty.clone();
-        union.extend(self.volume.dirty());
-        union.extend(self.user_trust.dirty());
+        union.extend(&self.dm_dirty);
+        union.extend(&self.um_dirty);
         for &file in &self.dirty_files {
             union.extend(self.evals.evaluators_of(file));
         }
@@ -1256,6 +1230,76 @@ mod tests {
         assert!(engine.view().reputation(u(0), u(2)) > 0.0);
         let mut reference = engine.clone();
         reference.full_rebuild(day3);
+        assert_engines_match(&engine, &reference);
+    }
+
+    #[test]
+    fn drift_coevaluators_are_rebuilt_same_recompute() {
+        let params = Params::builder()
+            .incremental_threshold(1.0)
+            .build()
+            .unwrap();
+        let mut engine = ReputationEngine::new(params);
+
+        // u1 & u3 share f1; u1 also holds f0. All start at t=0 (saturate day 7).
+        engine.observe_download(SimTime::ZERO, u(1), u(9), f(1), FileSize::from_mib(50));
+        engine.observe_download(SimTime::ZERO, u(3), u(9), f(1), FileSize::from_mib(50));
+        engine.observe_download(SimTime::ZERO, u(1), u(9), f(0), FileSize::from_mib(50));
+        engine.recompute(SimTime::ZERO);
+
+        // u0 joins f0 at day 6 → unsaturated until day 13.
+        let day6 = SimTime::ZERO + SimDuration::from_days(6);
+        engine.observe_download(day6, u(0), u(9), f(0), FileSize::from_mib(50));
+        let day8 = SimTime::ZERO + SimDuration::from_days(8);
+        engine.recompute(day8);
+
+        // Drift-only recompute at day 10: u0 drifts, u1/u3 clean.
+        let day10 = SimTime::ZERO + SimDuration::from_days(10);
+        engine.recompute(day10);
+        assert_eq!(
+            engine.last_recompute_mode(),
+            Some(RecomputeMode::Incremental)
+        );
+
+        let mut reference = engine.clone();
+        reference.full_rebuild(day10);
+        assert_engines_match(&engine, &reference);
+    }
+
+    #[test]
+    fn dirty_tracking_follows_events() {
+        let params = Params::builder()
+            .incremental_threshold(1.0)
+            .build()
+            .unwrap();
+        let mut engine = ReputationEngine::new(params);
+        engine.observe_download(SimTime::ZERO, u(0), u(1), f(0), FileSize::from_mib(10));
+        engine.observe_download(SimTime::ZERO, u(2), u(1), f(1), FileSize::from_mib(10));
+        engine.observe_rank(u(3), u(1), Evaluation::BEST);
+        engine.observe_rank(u(4), u(5), Evaluation::BEST);
+        engine.recompute(SimTime::ZERO);
+        assert_eq!(engine.pending_dirty_rows(), 0, "recompute drains dirt");
+
+        engine.observe_rank(u(4), u(1), Evaluation::new(0.6).unwrap());
+        assert_eq!(engine.pending_dirty_rows(), 1, "the rater's UM row");
+        engine.observe_rank(u(6), u(6), Evaluation::BEST);
+        assert_eq!(engine.pending_dirty_rows(), 1, "a self-rating is ignored");
+
+        // The whitewash dirties user 1, its downloaders 0 and 2, and its
+        // raters 3 and 4.
+        engine.observe_whitewash(u(1));
+        assert_eq!(engine.pending_dirty_rows(), 5);
+        engine.recompute(SimTime::ZERO);
+        assert_eq!(
+            engine.last_recompute_mode(),
+            Some(RecomputeMode::Incremental)
+        );
+        assert_eq!(engine.last_dirty_rows(), 5);
+        assert_eq!(engine.view().reputation(u(0), u(1)), 0.0);
+        assert_eq!(engine.view().reputation(u(3), u(1)), 0.0);
+
+        let mut reference = engine.clone();
+        reference.full_rebuild(SimTime::ZERO);
         assert_engines_match(&engine, &reference);
     }
 

@@ -12,7 +12,7 @@
 
 use crate::eval::EvaluationStore;
 use crate::params::Params;
-use mdrep_matrix::{build_rows_parallel, SparseMatrix, SparseVector};
+use mdrep_matrix::{par_chunks, SparseMatrix, SparseVector};
 use mdrep_types::{Evaluation, SimTime, UserId};
 use std::collections::BTreeMap;
 
@@ -113,11 +113,14 @@ impl FileTrust {
         options: FileTrustOptions,
     ) -> Self {
         let users: Vec<UserId> = store.users().collect();
-        let rows = build_rows_parallel(&users, params.effective_threads(), |u| {
-            ft_row(store, u, now, params, options)
+        let chunks = par_chunks(&users, params.effective_threads(), |chunk| {
+            chunk
+                .iter()
+                .map(|&u| (u, ft_row(store, u, now, params, options)))
+                .collect::<Vec<_>>()
         });
         let mut ft = SparseMatrix::new();
-        for (u, row) in rows {
+        for (u, row) in chunks.into_iter().flatten() {
             ft.set_row(u, row).expect("trust in [0,1]");
         }
         Self { ft }

@@ -61,7 +61,9 @@ impl ReputationMatrix {
     ///
     /// The base matrix is compacted first (folding any dirty-row overlay
     /// into contiguous storage) so every SpGEMM step runs on pure
-    /// `indptr`/`cols`/`vals` slices.
+    /// `indptr`/`cols`/`vals` slices. Tier `k + 1` is tier `k` times `TM`
+    /// — the left-to-right order of [`CsrMatrix::power`], so
+    /// [`matrix`](Self::matrix) equals `TM.power(n, ..)` bit for bit.
     #[must_use]
     pub fn compute_csr(tm: CsrMatrix, params: &Params) -> Self {
         let base = if tm.is_compact() { tm } else { tm.compact() };
@@ -77,12 +79,10 @@ impl ReputationMatrix {
         let obs = mdrep_obs::global();
         for _ in 1..n {
             let prev = tiers.last().expect("non-empty");
-            // Large products fan out across cores; small ones stay serial.
             let next = {
                 let _span = obs.span("engine.recompute.matrix_power");
                 let _trace = mdrep_obs::trace_span("engine.recompute.matrix_power");
-                let t = if prev.nnz() > 20_000 { threads } else { 1 };
-                prev.multiply_step(&base, options, t)
+                prev.multiply_step(&base, options, threads)
             };
             tiers.push(next);
         }
@@ -159,13 +159,6 @@ impl ReputationMatrix {
             }
         }
         None
-    }
-
-    /// Fraction of `(from, to)` request pairs with positive reputation —
-    /// the n-step generalization of the Figure 1 coverage metric.
-    #[must_use]
-    pub fn request_coverage(&self, requests: &[(UserId, UserId)]) -> f64 {
-        self.matrix().request_coverage(requests)
     }
 }
 
@@ -264,12 +257,57 @@ mod tests {
     }
 
     #[test]
-    fn row_max_and_coverage() {
+    fn row_max_reads_the_final_tier() {
         let tm = chain();
         let rm = compute(&tm, &params(1));
         assert_eq!(rm.row_max(u(0)), 1.0);
         assert_eq!(rm.row_max(u(3)), 0.0, "no row means no mass");
-        let cov = rm.request_coverage(&[(u(0), u(1)), (u(0), u(2))]);
-        assert!((cov - 0.5).abs() < 1e-12);
+    }
+
+    /// A pseudo-random 40-user raw trust matrix, ~6 entries per row.
+    fn synth() -> SparseMatrix {
+        let mut m = SparseMatrix::new();
+        let mut state = 0x9E37_79B9_7F4A_7C15u64;
+        for r in 0..40u64 {
+            for _ in 0..6 {
+                state = state
+                    .wrapping_mul(6_364_136_223_846_793_005)
+                    .wrapping_add(1_442_695_040_888_963_407);
+                let v = 1.0 + ((state >> 11) % 7) as f64;
+                m.set(u(r), u((state >> 33) % 40), v).unwrap();
+            }
+        }
+        m
+    }
+
+    #[test]
+    fn tiers_equal_the_left_to_right_power() {
+        let raw = synth();
+        let index = std::sync::Arc::new(mdrep_matrix::UserIndex::from_matrices(&[&raw]));
+        let tm = CsrMatrix::freeze_normalized_sharded(&index, &raw, 1);
+        let pruned = PowerOptions::pruned(1e-3).with_top_k(Some(4));
+        for (options, eps, k) in [(PowerOptions::exact(), 0.0, None), (pruned, 1e-3, Some(4))] {
+            for threads in [1usize, 4] {
+                for n in 1..=6u32 {
+                    let params = Params::builder()
+                        .steps(n)
+                        .threads(threads)
+                        .prune_threshold(eps)
+                        .top_k(k)
+                        .build()
+                        .unwrap();
+                    let rm = ReputationMatrix::compute_csr(tm.clone(), &params);
+                    let power = tm.power(n, options, threads);
+                    let bits = |m: &CsrMatrix| -> Vec<(UserId, UserId, u64)> {
+                        m.iter().map(|(r, c, v)| (r, c, v.to_bits())).collect()
+                    };
+                    assert_eq!(
+                        bits(rm.matrix()),
+                        bits(&power),
+                        "n = {n}, {options:?}, {threads} threads"
+                    );
+                }
+            }
+        }
     }
 }

@@ -7,7 +7,7 @@
 
 use mdrep_matrix::{SparseMatrix, SparseVector};
 use mdrep_types::{Evaluation, UserId};
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeMap;
 
 /// Accumulates user-to-user ratings and computes `UT`/`UM`.
 ///
@@ -30,8 +30,6 @@ pub struct UserTrust {
     /// `rater → target → rating`, row-major so a single rater's `UM` row
     /// can be rebuilt without touching the rest.
     ratings: BTreeMap<UserId, BTreeMap<UserId, Evaluation>>,
-    /// Raters whose `UM` row must be rebuilt.
-    dirty: BTreeSet<UserId>,
 }
 
 impl UserTrust {
@@ -46,7 +44,6 @@ impl UserTrust {
     pub fn rate(&mut self, rater: UserId, target: UserId, value: Evaluation) {
         if rater != target {
             self.ratings.entry(rater).or_default().insert(target, value);
-            self.dirty.insert(rater);
         }
     }
 
@@ -70,38 +67,19 @@ impl UserTrust {
     }
 
     /// Forgets every rating involving `user` — both the ratings it gave and
-    /// the ones it received (whitewash handling). Dirties `user` plus every
-    /// rater that had rated it.
-    pub fn remove_user(&mut self, user: UserId) {
+    /// the ones it received (whitewash handling). Returns the raters that
+    /// had rated `user` (ascending) — besides `user`'s own, the only `UT`
+    /// rows the removal changes.
+    pub fn remove_user(&mut self, user: UserId) -> Vec<UserId> {
         self.ratings.remove(&user);
+        let mut changed = Vec::new();
         for (&rater, targets) in &mut self.ratings {
             if targets.remove(&user).is_some() {
-                self.dirty.insert(rater);
+                changed.push(rater);
             }
         }
         self.ratings.retain(|_, targets| !targets.is_empty());
-        self.dirty.insert(user);
-    }
-
-    /// Number of currently dirty rows.
-    #[must_use]
-    pub fn dirty_len(&self) -> usize {
-        self.dirty.len()
-    }
-
-    /// The currently dirty rows, in ascending order.
-    pub fn dirty(&self) -> impl Iterator<Item = UserId> + '_ {
-        self.dirty.iter().copied()
-    }
-
-    /// Drains the dirty set, returning the rows to rebuild (ascending).
-    pub fn take_dirty(&mut self) -> Vec<UserId> {
-        std::mem::take(&mut self.dirty).into_iter().collect()
-    }
-
-    /// Clears the dirty set (after a full rebuild).
-    pub fn clear_dirty(&mut self) {
-        self.dirty.clear();
+        changed
     }
 
     /// Number of stored ratings.
@@ -230,26 +208,10 @@ mod tests {
         ut.add_friend(u(0), u(1));
         ut.add_friend(u(1), u(2));
         ut.add_friend(u(2), u(0));
-        ut.remove_user(u(1));
+        // Rater 0 pointed at user 1; user 1's own row goes with it.
+        assert_eq!(ut.remove_user(u(1)), vec![u(0)]);
         assert_eq!(ut.len(), 1);
         assert!(ut.rating(u(2), u(0)).is_some());
-    }
-
-    #[test]
-    fn dirty_tracking_follows_ratings_and_removals() {
-        let mut ut = UserTrust::new();
-        ut.rate(u(0), u(1), Evaluation::BEST);
-        ut.rate(u(2), u(1), Evaluation::BEST);
-        assert_eq!(ut.take_dirty(), vec![u(0), u(2)]);
-        assert_eq!(ut.dirty_len(), 0);
-
-        // Removing a rated user dirties every rater that pointed at it.
-        ut.remove_user(u(1));
-        assert_eq!(ut.take_dirty(), vec![u(0), u(1), u(2)]);
-        assert_eq!(ut.row_count(), 0);
-
-        ut.rate(u(0), u(0), Evaluation::BEST);
-        assert_eq!(ut.dirty_len(), 0, "ignored self-rating does not dirty");
     }
 
     #[test]

@@ -9,9 +9,9 @@
 
 use crate::eval::EvaluationStore;
 use crate::params::Params;
-use mdrep_matrix::{build_rows_parallel, SparseMatrix, SparseVector};
+use mdrep_matrix::{par_chunks, SparseMatrix, SparseVector};
 use mdrep_types::{FileId, FileSize, SimTime, UserId};
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeMap;
 
 /// Accumulates download records and computes `VD`/`DM`.
 ///
@@ -40,11 +40,6 @@ pub struct VolumeTrust {
     /// `downloader → uploader → [(file, size)]`, row-major so a single
     /// downloader's `VD` row can be rebuilt without touching the rest.
     downloads: BTreeMap<UserId, BTreeMap<UserId, Vec<(FileId, FileSize)>>>,
-    /// Downloaders whose `VD`/`DM` row must be rebuilt. A row depends only
-    /// on the downloader's own evaluations and download log, so events only
-    /// ever dirty single rows (plus, on user removal, every downloader that
-    /// had the removed user as an uploader).
-    dirty: BTreeSet<UserId>,
 }
 
 impl VolumeTrust {
@@ -68,47 +63,21 @@ impl VolumeTrust {
             .entry(uploader)
             .or_default()
             .push((file, size));
-        self.dirty.insert(downloader);
     }
 
-    /// Forgets everything involving `user` (whitewash handling). Dirties
-    /// `user` and every downloader that had `user` as an uploader.
-    pub fn remove_user(&mut self, user: UserId) {
+    /// Forgets everything involving `user` (whitewash handling). Returns
+    /// the downloaders that had `user` as an uploader (ascending) — besides
+    /// `user`'s own, the only `VD` rows the removal changes.
+    pub fn remove_user(&mut self, user: UserId) -> Vec<UserId> {
         self.downloads.remove(&user);
+        let mut changed = Vec::new();
         for (&downloader, uploads) in &mut self.downloads {
             if uploads.remove(&user).is_some() {
-                self.dirty.insert(downloader);
+                changed.push(downloader);
             }
         }
         self.downloads.retain(|_, uploads| !uploads.is_empty());
-        self.dirty.insert(user);
-    }
-
-    /// Marks `downloader`'s row as needing a rebuild (the engine calls this
-    /// when the downloader's evaluations change — votes, deletions, drift).
-    pub fn mark_dirty(&mut self, downloader: UserId) {
-        self.dirty.insert(downloader);
-    }
-
-    /// Number of currently dirty rows.
-    #[must_use]
-    pub fn dirty_len(&self) -> usize {
-        self.dirty.len()
-    }
-
-    /// The currently dirty rows, in ascending order.
-    pub fn dirty(&self) -> impl Iterator<Item = UserId> + '_ {
-        self.dirty.iter().copied()
-    }
-
-    /// Drains the dirty set, returning the rows to rebuild (ascending).
-    pub fn take_dirty(&mut self) -> Vec<UserId> {
-        std::mem::take(&mut self.dirty).into_iter().collect()
-    }
-
-    /// Clears the dirty set (after a full rebuild).
-    pub fn clear_dirty(&mut self) {
-        self.dirty.clear();
+        changed
     }
 
     /// Number of recorded download edges (distinct user pairs).
@@ -167,9 +136,14 @@ impl VolumeTrust {
         threads: usize,
     ) -> SparseMatrix {
         let rows: Vec<UserId> = self.downloads.keys().copied().collect();
-        let built = build_rows_parallel(&rows, threads, |r| self.vd_row(r, evals, now, params));
+        let chunks = par_chunks(&rows, threads, |chunk| {
+            chunk
+                .iter()
+                .map(|&r| (r, self.vd_row(r, evals, now, params)))
+                .collect::<Vec<_>>()
+        });
         let mut vd = SparseMatrix::new();
-        for (r, row) in built {
+        for (r, row) in chunks.into_iter().flatten() {
             vd.set_row(r, row)
                 .expect("volumes are finite and non-negative");
         }
@@ -275,9 +249,12 @@ mod tests {
         evals.record_vote(SimTime::ZERO, u(0), f(0), Evaluation::BEST);
         vt.record_download(u(0), u(1), f(0), FileSize::from_mib(10));
         vt.record_download(u(1), u(0), f(0), FileSize::from_mib(10));
-        assert_eq!(vt.pair_count(), 2);
-        vt.remove_user(u(1));
+        vt.record_download(u(2), u(1), f(0), FileSize::from_mib(10));
+        assert_eq!(vt.pair_count(), 3);
+        // Both downloaders that used uploader 1 are reported.
+        assert_eq!(vt.remove_user(u(1)), vec![u(0), u(2)]);
         assert_eq!(vt.pair_count(), 0);
+        assert_eq!(vt.row_count(), 0, "rows left empty are dropped");
         assert!(vt
             .raw_parallel(&evals, SimTime::ZERO, &params, 1)
             .is_empty());
@@ -293,23 +270,6 @@ mod tests {
         vt.record_download(u(0), u(1), f(0), FileSize::from_mib(10));
         let vd = vt.raw_parallel(&evals, SimTime::ZERO, &params, 1);
         assert!((vd.get(u(0), u(1)) - 20.0).abs() < 1e-9);
-    }
-
-    #[test]
-    fn dirty_tracking_follows_events() {
-        let mut vt = VolumeTrust::new();
-        vt.record_download(u(0), u(1), f(0), FileSize::from_mib(10));
-        assert_eq!(vt.take_dirty(), vec![u(0)]);
-        assert_eq!(vt.dirty_len(), 0);
-
-        vt.record_download(u(2), u(1), f(1), FileSize::from_mib(10));
-        vt.mark_dirty(u(0)); // e.g. user 0 voted on a file
-        assert_eq!(vt.take_dirty(), vec![u(0), u(2)]);
-
-        // Removing uploader 1 dirties both downloaders that used it.
-        vt.remove_user(u(1));
-        assert_eq!(vt.take_dirty(), vec![u(0), u(1), u(2)]);
-        assert_eq!(vt.row_count(), 0, "rows left empty are dropped");
     }
 
     #[test]

@@ -11,30 +11,32 @@
 //! - the Equation 7 blend runs as a k-way scaled merge over row slices
 //!   ([`blend_frozen`]),
 //! - the Equation 8 power `RM = TM^n` runs as a row-chunked parallel SpGEMM
-//!   with a reused dense accumulator per worker ([`CsrMatrix::power`]),
+//!   with a reused dense accumulator per worker, multiplied left to right
+//!   ([`CsrMatrix::power`]),
 //! - EigenTrust's power iteration walks the frozen rows
 //!   ([`principal_eigenvector`](crate::principal_eigenvector)), and
 //! - batched Equation 9 queries gather one file's owner columns across many
 //!   viewer rows without materializing a `BTreeMap` per row
 //!   ([`CsrMatrix::column_set`] / [`CsrMatrix::gather_row`]).
 //!
-//! Every kernel performs its floating-point additions in one fixed order —
-//! ascending user id, blend parts in caller order — so results do not
-//! depend on the thread or shard count, and the dirty-row helpers
-//! ([`blend_row_frozen`], [`normalize_row_mut`](crate::normalize_row_mut))
-//! rebuild a row bit-identically to the batch kernels.
+//! Every row kernel fans out through [`par_chunks`](crate::par_chunks) and
+//! performs its floating-point additions in one fixed order — ascending
+//! user id, blend parts in caller order — so results do not depend on the
+//! thread or shard count, and a dirty row normalized with
+//! [`normalize_row_mut`](crate::normalize_row_mut) and blended in the same
+//! part order is bit-identical to the batch kernels' row.
 //!
 //! # Overlay
 //!
 //! A frozen matrix is immutable, but the incremental dirty-row recompute
-//! needs to patch a few rows between full rebuilds. [`CsrMatrix::set_row`]
-//! stores such patches in a per-row *overlay* keyed by [`UserId`] (so a
-//! patched row may reference users that did not exist at freeze time); all
-//! reads consult the overlay first. The overlay is folded back into clean
+//! needs to patch a few rows between full rebuilds.
+//! [`CsrMatrix::set_row_arc`] stores such patches in a per-row *overlay*
+//! keyed by [`UserId`] (so a patched row may reference users that did not
+//! exist at freeze time); all reads consult the overlay first. The overlay is folded back into clean
 //! contiguous storage by [`CsrMatrix::compact`], which the engine triggers
 //! on the next full freeze (and before any multi-step power).
 
-use crate::ops::{validate_blend_weights, BlendError, PowerOptions};
+use crate::ops::{par_chunks, validate_blend_weights, BlendError, PowerOptions};
 use crate::sparse::{SparseMatrix, SparseVector};
 use mdrep_types::UserId;
 use std::collections::BTreeMap;
@@ -175,8 +177,9 @@ pub struct CsrMatrix {
     storage: Arc<CsrStorage>,
     /// Patched rows (dirty-row recompute): reads consult this first. An
     /// empty vector masks the frozen row entirely (row removal). Rows are
-    /// `Arc`-wrapped so snapshot clones share the row slabs too; `set_row`
-    /// replaces the `Arc`, never the pointee, keeping clones isolated.
+    /// `Arc`-wrapped so snapshot clones share the row slabs too;
+    /// `set_row_arc` replaces the `Arc`, never the pointee, keeping clones
+    /// isolated.
     overlay: BTreeMap<UserId, Arc<SparseVector>>,
 }
 
@@ -233,14 +236,13 @@ impl CsrMatrix {
         m: &SparseMatrix,
         shards: usize,
     ) -> Self {
-        assert!(shards >= 1, "at least one shard is required");
         Self::freeze_rows(index, m, shards, true)
     }
 
-    /// The one freeze loop. Each worker freezes one contiguous range of
-    /// interned positions into `(row starts, cols, vals)`, the starts
-    /// relative to the range's first entry. A single range (one shard, or
-    /// too few rows to split) runs on the calling thread and its arrays
+    /// The one freeze loop. Each [`par_chunks`] worker freezes one
+    /// contiguous run of interned ids into `(row starts, cols, vals)`, the
+    /// starts relative to the run's first entry. A lone chunk (one shard,
+    /// or too few rows to split) runs on the calling thread and its arrays
     /// become the matrix's storage as they are, with no second copy.
     fn freeze_rows(
         index: &Arc<UserIndex>,
@@ -248,11 +250,11 @@ impl CsrMatrix {
         shards: usize,
         normalize: bool,
     ) -> Self {
-        type Part = (Vec<usize>, Vec<u32>, Vec<f64>);
         let n = index.len();
         let nnz = m.nnz();
-        let worker = |range: std::ops::Range<usize>, capacity: usize| -> Part {
-            let ids = &index.ids()[range];
+        let parts = par_chunks(index.ids(), shards, |ids| {
+            // Only the lone chunk knows its final size up front.
+            let capacity = if ids.len() == n { nnz } else { 0 };
             let mut starts = Vec::with_capacity(ids.len() + 1);
             let mut cols = Vec::with_capacity(capacity);
             let mut vals = Vec::with_capacity(capacity);
@@ -269,26 +271,11 @@ impl CsrMatrix {
                 }
             }
             (starts, cols, vals)
-        };
-        let parts: Vec<Part> = if shards == 1 || n < 2 * shards {
-            vec![worker(0..n, nnz)]
-        } else {
-            let worker = &worker;
-            std::thread::scope(|scope| {
-                let handles: Vec<_> = shard_ranges(n, shards)
-                    .into_iter()
-                    .map(|range| scope.spawn(move || worker(range, 0)))
-                    .collect();
-                handles
-                    .into_iter()
-                    .map(|h| h.join().expect("freeze shard panicked"))
-                    .collect()
-            })
-        };
-        // Stitch in range order = ascending position order, offsetting
-        // each range's row starts by the entries before it.
+        });
+        // Stitch in chunk order = ascending position order, offsetting
+        // each chunk's row starts by the entries before it.
         let mut parts = parts.into_iter();
-        let (mut indptr, mut cols, mut vals) = parts.next().expect("at least one range");
+        let (mut indptr, mut cols, mut vals) = parts.next().expect("at least one chunk");
         indptr.reserve_exact((n + 1).saturating_sub(indptr.len()));
         cols.reserve_exact(nnz.saturating_sub(cols.len()));
         vals.reserve_exact(nnz.saturating_sub(vals.len()));
@@ -482,53 +469,17 @@ impl CsrMatrix {
             .all(|r| (self.row_sum(r) - 1.0).abs() <= tol)
     }
 
-    /// Fraction of `(from, to)` request pairs with a positive entry — the
-    /// Figure 1 request-coverage metric over the frozen matrix.
-    #[must_use]
-    pub fn request_coverage(&self, requests: &[(UserId, UserId)]) -> f64 {
-        if requests.is_empty() {
-            return 0.0;
-        }
-        let covered = requests
-            .iter()
-            .filter(|&&(a, b)| self.get(a, b) > 0.0)
-            .count();
-        covered as f64 / requests.len() as f64
-    }
-
-    /// Patches one row wholesale (the dirty-row recompute primitive): the
-    /// replacement lands in the overlay, masking the frozen row. An empty
-    /// (or all-zero-filtered) `values` removes the row. Columns need not be
-    /// interned — new users can appear between full freezes.
+    /// Patches one row wholesale with a prebuilt, already-filtered slab
+    /// (the dirty-row recompute primitive): the replacement lands in the
+    /// overlay, masking the frozen row, and an empty slab removes the row.
+    /// Columns need not be interned — new users can appear between full
+    /// freezes. The parallel dirty recompute materializes each patched row
+    /// (and its `Arc`) on a worker thread, leaving the serial merge a
+    /// pointer insert; sharing one slab between two matrices (`TM` and a
+    /// one-step `RM`) is sound because overlay rows are never mutated in
+    /// place — patches always replace the `Arc`.
     ///
-    /// # Panics
-    ///
-    /// Panics on negative, NaN, or infinite entries — patched rows come
-    /// from validated matrices.
-    pub fn set_row(&mut self, row: UserId, values: SparseVector) {
-        assert!(
-            values.values().all(|v| v.is_finite() && *v >= 0.0),
-            "patched rows must be finite and non-negative"
-        );
-        let filtered: SparseVector = values.into_iter().filter(|&(_, v)| v != 0.0).collect();
-        if filtered.is_empty() && self.index.position(row).is_none() {
-            // Nothing to mask: the row never existed.
-            self.overlay.remove(&row);
-            return;
-        }
-        // A fresh `Arc` per patch: clones taken earlier keep their slab.
-        self.overlay.insert(row, Arc::new(filtered));
-    }
-
-    /// [`set_row`](Self::set_row) taking a prebuilt, already-filtered slab.
-    /// The parallel dirty recompute materializes each patched row (and its
-    /// `Arc`) on a worker thread, leaving the serial merge a pointer
-    /// insert; sharing one slab between two matrices (`TM` and a one-step
-    /// `RM`) is sound because overlay rows are never mutated in place —
-    /// patches always replace the `Arc`.
-    ///
-    /// Debug-asserts what `set_row` enforces by filtering: entries finite,
-    /// positive, and non-zero.
+    /// Debug-asserts that every entry is finite and positive.
     pub fn set_row_arc(&mut self, row: UserId, values: Arc<SparseVector>) {
         debug_assert!(
             values.values().all(|v| v.is_finite() && *v > 0.0),
@@ -650,7 +601,6 @@ impl CsrMatrix {
     /// compact ([`compact`](Self::compact) first).
     #[must_use]
     pub fn multiply_step(&self, other: &Self, options: PowerOptions, threads: usize) -> Self {
-        assert!(threads >= 1, "at least one thread is required");
         assert!(
             options.top_k != Some(0),
             "top_k must be at least 1 when set"
@@ -667,81 +617,69 @@ impl CsrMatrix {
         let occupied: Vec<u32> = (0..n as u32)
             .filter(|&p| self.storage.indptr[p as usize] < self.storage.indptr[p as usize + 1])
             .collect();
-        let chunk_len = if threads == 1 || occupied.len() < 2 * threads {
-            occupied.len().max(1)
-        } else {
-            occupied.len().div_ceil(threads)
-        };
-        let worker = |chunk: &[u32]| -> Vec<CsrRow> {
+        // The ε-filter, and the top-k order: heaviest first, equal values
+        // breaking toward the smaller column position. A total order, so
+        // the kept set is independent of candidate order (and therefore of
+        // chunking / thread count).
+        let keep = |v: f64| options.prune_threshold == 0.0 || v >= options.prune_threshold;
+        let heavier = |a: &(u32, f64), b: &(u32, f64)| b.1.total_cmp(&a.1).then(a.0.cmp(&b.0));
+        let chunks = par_chunks(&occupied, threads, |chunk| {
             let mut scratch = vec![0.0f64; n];
             let mut touched: Vec<u32> = Vec::new();
             let mut candidates: Vec<(u32, f64)> = Vec::new();
             let mut screen: Vec<(u32, f64)> = Vec::new();
+            let (mut screen_cols, mut screen_vals) = (Vec::new(), Vec::new());
             let mut out = Vec::with_capacity(chunk.len());
             for &r in chunk {
-                let (a_cols, a_vals) = self.base_row(r);
-                if let Some(cap) = options.top_k {
-                    // Fan-out cap: the hop propagates through at most the
-                    // `cap` most-trusted intermediaries. The fused rule
-                    // applied to the input row — ε-filter, partial select
-                    // with the output's total order, renormalize in
-                    // ascending column order. This is where the pruned
-                    // step beats the exact one on *work*, not just output
-                    // size: per-row products drop from `deg_a · deg_b` to
-                    // `cap · deg_b`.
-                    screen.clear();
-                    for (&c, &v) in a_cols.iter().zip(a_vals) {
-                        if options.prune_threshold == 0.0 || v >= options.prune_threshold {
-                            screen.push((c, v));
-                        }
-                    }
-                    if screen.len() > cap {
-                        screen.select_nth_unstable_by(cap - 1, |a, b| {
-                            b.1.total_cmp(&a.1).then(a.0.cmp(&b.0))
-                        });
-                        screen.truncate(cap);
-                    }
-                    screen.sort_unstable_by_key(|&(c, _)| c);
-                    let sum: f64 = screen.iter().map(|&(_, v)| v).sum();
-                    if sum > 0.0 {
-                        for e in &mut screen {
-                            e.1 /= sum;
-                        }
-                    } else {
+                let (a_cols, a_vals) = match options.top_k {
+                    None => self.base_row(r),
+                    Some(cap) => {
+                        // Fan-out cap: the hop propagates through at most
+                        // the `cap` most-trusted intermediaries. The fused
+                        // rule applied to the input row — ε-filter,
+                        // partial select with the output's total order,
+                        // renormalize in ascending column order. This is
+                        // where the pruned step beats the exact one on
+                        // *work*, not just output size: per-row products
+                        // drop from `deg_a · deg_b` to `cap · deg_b`.
+                        let (cols, vals) = self.base_row(r);
                         screen.clear();
-                    }
-                    for &(k, a_rk) in &screen {
-                        if a_rk == 0.0 {
-                            continue;
+                        screen.extend(
+                            cols.iter()
+                                .copied()
+                                .zip(vals.iter().copied())
+                                .filter(|&(_, v)| keep(v)),
+                        );
+                        if screen.len() > cap {
+                            screen.select_nth_unstable_by(cap - 1, heavier);
+                            screen.truncate(cap);
                         }
-                        let (b_cols, b_vals) = other.base_row(k);
-                        for (&c, &b_kc) in b_cols.iter().zip(b_vals) {
-                            // A column cancelled back to exact 0.0 re-enters
-                            // `touched`; the emit loops below read each
-                            // column once and zero it, so duplicates are
-                            // harmless.
-                            if scratch[c as usize] == 0.0 {
-                                touched.push(c);
+                        screen.sort_unstable_by_key(|&(c, _)| c);
+                        let sum: f64 = screen.iter().map(|&(_, v)| v).sum();
+                        screen_cols.clear();
+                        screen_vals.clear();
+                        if sum > 0.0 {
+                            for &(c, v) in &screen {
+                                screen_cols.push(c);
+                                screen_vals.push(v / sum);
                             }
-                            scratch[c as usize] += a_rk * b_kc;
                         }
+                        (&screen_cols[..], &screen_vals[..])
                     }
-                } else {
-                    for (&k, &a_rk) in a_cols.iter().zip(a_vals) {
-                        if a_rk == 0.0 {
-                            continue;
+                };
+                for (&k, &a_rk) in a_cols.iter().zip(a_vals) {
+                    if a_rk == 0.0 {
+                        continue;
+                    }
+                    let (b_cols, b_vals) = other.base_row(k);
+                    for (&c, &b_kc) in b_cols.iter().zip(b_vals) {
+                        // A column cancelled back to exact 0.0 re-enters
+                        // `touched`; the emit loops below read each column
+                        // once and zero it, so duplicates are harmless.
+                        if scratch[c as usize] == 0.0 {
+                            touched.push(c);
                         }
-                        let (b_cols, b_vals) = other.base_row(k);
-                        for (&c, &b_kc) in b_cols.iter().zip(b_vals) {
-                            // A column cancelled back to exact 0.0 re-enters
-                            // `touched`; the emit loops below read each
-                            // column once and zero it, so duplicates are
-                            // harmless.
-                            if scratch[c as usize] == 0.0 {
-                                touched.push(c);
-                            }
-                            scratch[c as usize] += a_rk * b_kc;
-                        }
+                        scratch[c as usize] += a_rk * b_kc;
                     }
                 }
                 let (mut row_cols, mut row_vals) = (Vec::new(), Vec::new());
@@ -754,20 +692,12 @@ impl CsrMatrix {
                     for &c in &touched {
                         let v = scratch[c as usize];
                         scratch[c as usize] = 0.0;
-                        if v != 0.0
-                            && (options.prune_threshold == 0.0 || v >= options.prune_threshold)
-                        {
+                        if v != 0.0 && keep(v) {
                             candidates.push((c, v));
                         }
                     }
                     if candidates.len() > k {
-                        // Heaviest first; equal values break toward the
-                        // smaller column position. A total order, so the
-                        // kept set is independent of candidate order (and
-                        // therefore of chunking / thread count).
-                        candidates.select_nth_unstable_by(k - 1, |a, b| {
-                            b.1.total_cmp(&a.1).then(a.0.cmp(&b.0))
-                        });
+                        candidates.select_nth_unstable_by(k - 1, heavier);
                         candidates.truncate(k);
                     }
                     candidates.sort_unstable_by_key(|&(c, _)| c);
@@ -784,9 +714,7 @@ impl CsrMatrix {
                         scratch[c as usize] = 0.0;
                         // Exact zeros are dropped and, when pruning,
                         // sub-threshold entries too.
-                        if v != 0.0
-                            && (options.prune_threshold == 0.0 || v >= options.prune_threshold)
-                        {
+                        if v != 0.0 && keep(v) {
                             row_cols.push(c);
                             row_vals.push(v);
                         }
@@ -808,34 +736,19 @@ impl CsrMatrix {
                 }
             }
             out
-        };
-        let rows: Vec<CsrRow> = if chunk_len >= occupied.len() {
-            worker(&occupied)
-        } else {
-            let worker = &worker;
-            let partials: Vec<Vec<CsrRow>> = std::thread::scope(|scope| {
-                let handles: Vec<_> = occupied
-                    .chunks(chunk_len)
-                    .map(|chunk| scope.spawn(move || worker(chunk)))
-                    .collect();
-                handles
-                    .into_iter()
-                    .map(|h| h.join().expect("worker thread panicked"))
-                    .collect()
-            });
-            partials.into_iter().flatten().collect()
-        };
-        Self::assemble(Arc::clone(&self.index), n, rows)
+        });
+        Self::assemble(Arc::clone(&self.index), n, chunks)
     }
 
-    /// Stitches per-row results (ascending row positions) into one CSR.
-    fn assemble(index: Arc<UserIndex>, n: usize, rows: Vec<CsrRow>) -> Self {
-        let nnz = rows.iter().map(|(_, c, _)| c.len()).sum();
+    /// Stitches per-chunk row results (ascending row positions across and
+    /// within chunks) into one CSR.
+    fn assemble(index: Arc<UserIndex>, n: usize, chunks: Vec<Vec<CsrRow>>) -> Self {
+        let nnz = chunks.iter().flatten().map(|(_, c, _)| c.len()).sum();
         let mut indptr = vec![0usize; n + 1];
         let mut cols = Vec::with_capacity(nnz);
         let mut vals = Vec::with_capacity(nnz);
         let mut next = 0usize;
-        for (r, row_cols, row_vals) in rows {
+        for (r, row_cols, row_vals) in chunks.into_iter().flatten() {
             for p in indptr.iter_mut().take(r as usize + 1).skip(next) {
                 *p = vals.len();
             }
@@ -871,19 +784,14 @@ impl CsrMatrix {
     }
 
     /// Equation 8 on the frozen representation: `RM = TM^n` with optional
-    /// fused pruning, each step a [`multiply_step`](Self::multiply_step).
-    /// Overlaid matrices are compacted first.
+    /// fused pruning, multiplied left to right (`((TM·TM)·TM)·…`), one
+    /// [`multiply_step`](Self::multiply_step) per hop — the order of the
+    /// engine's trust tiers, so `power(n)` equals the engine's `RM` bit for
+    /// bit. Pruning *between* hops is the semantics: each hop's sparsity
+    /// bound feeds the next. Overlaid matrices are compacted first.
     ///
     /// `n == 0` returns [`identity`](Self::identity) on the (compacted)
     /// index; `n == 1` returns the matrix itself with a single copy.
-    ///
-    /// When `options` prunes, powers are computed iteratively
-    /// (`((TM·TM)·TM)·…`) because pruning *between* hops is the semantics —
-    /// each hop's sparsity bound feeds the next. Exact powers with `n >= 4`
-    /// use exponentiation by squaring (O(log n) multiplies: result · square,
-    /// squares built left to right). Exact `n <= 3` keeps the iterative
-    /// left-associated order so historical bench baselines stay
-    /// comparable.
     ///
     /// # Panics
     ///
@@ -898,36 +806,11 @@ impl CsrMatrix {
         if n == 0 {
             return Self::identity(base.index());
         }
-        if n == 1 {
-            return base;
+        let mut acc = base.clone();
+        for _ in 1..n {
+            acc = acc.multiply_step(&base, options, threads);
         }
-        if options.is_pruning() || n < 4 {
-            let mut acc = base.multiply_step(&base, options, threads);
-            for _ in 2..n {
-                acc = acc.multiply_step(&base, options, threads);
-            }
-            return acc;
-        }
-        // Exact n >= 4: binary exponentiation. The association order is
-        // part of the result's bits; the reference power in the test
-        // oracle follows the same schedule.
-        let mut result: Option<Self> = None;
-        let mut square = base;
-        let mut e = n;
-        loop {
-            if e & 1 == 1 {
-                result = Some(match result {
-                    None => square.clone(),
-                    Some(r) => r.multiply_step(&square, options, threads),
-                });
-            }
-            e >>= 1;
-            if e == 0 {
-                break;
-            }
-            square = square.multiply_step(&square, options, threads);
-        }
-        result.expect("n >= 1 sets at least one bit")
+        acc
     }
 }
 
@@ -952,7 +835,7 @@ impl PartialEq for CsrMatrix {
 /// `threads` workers with a dense accumulator per worker. All parts must be
 /// compact and share one index. Per output entry, contributions accumulate
 /// in `parts` order starting from `0.0`, so the result is bit-identical at
-/// any thread count and [`blend_row_frozen`] reproduces any one row.
+/// any thread count, and to the engine's dirty-row blend of the same row.
 ///
 /// # Examples
 ///
@@ -983,7 +866,6 @@ impl PartialEq for CsrMatrix {
 ///
 /// Panics if `threads == 0`, a part is not compact, or indices differ.
 pub fn blend_frozen(parts: &[(f64, &CsrMatrix)], threads: usize) -> Result<CsrMatrix, BlendError> {
-    assert!(threads >= 1, "at least one thread is required");
     validate_blend_weights(parts.iter().map(|(w, _)| *w))?;
     let first = parts.first().expect("validated weights are non-empty").1;
     for (_, m) in parts {
@@ -1001,12 +883,7 @@ pub fn blend_frozen(parts: &[(f64, &CsrMatrix)], threads: usize) -> Result<CsrMa
                 .any(|(_, m)| m.storage.indptr[p as usize] < m.storage.indptr[p as usize + 1])
         })
         .collect();
-    let chunk_len = if threads == 1 || occupied.len() < 2 * threads {
-        occupied.len().max(1)
-    } else {
-        occupied.len().div_ceil(threads)
-    };
-    let worker = |chunk: &[u32]| -> Vec<CsrRow> {
+    let chunks = par_chunks(&occupied, threads, |chunk| {
         let mut scratch = vec![0.0f64; n];
         let mut touched: Vec<u32> = Vec::new();
         let mut out = Vec::with_capacity(chunk.len());
@@ -1041,56 +918,8 @@ pub fn blend_frozen(parts: &[(f64, &CsrMatrix)], threads: usize) -> Result<CsrMa
             }
         }
         out
-    };
-    let rows: Vec<CsrRow> = if chunk_len >= occupied.len() {
-        worker(&occupied)
-    } else {
-        let worker = &worker;
-        let partials: Vec<Vec<CsrRow>> = std::thread::scope(|scope| {
-            let handles: Vec<_> = occupied
-                .chunks(chunk_len)
-                .map(|chunk| scope.spawn(move || worker(chunk)))
-                .collect();
-            handles
-                .into_iter()
-                .map(|h| h.join().expect("worker thread panicked"))
-                .collect()
-        });
-        partials.into_iter().flatten().collect()
-    };
-    Ok(CsrMatrix::assemble(Arc::clone(&first.index), n, rows))
-}
-
-/// Partitions `0..n` into at most `shards` contiguous, near-equal ranges
-/// (empty ranges are dropped). The partition depends only on `n` and
-/// `shards`, never on runtime thread availability, so shard-parallel
-/// kernels stay deterministic.
-#[must_use]
-pub fn shard_ranges(n: usize, shards: usize) -> Vec<std::ops::Range<usize>> {
-    assert!(shards >= 1, "at least one shard is required");
-    let chunk = n.div_ceil(shards).max(1);
-    (0..shards)
-        .map(|s| (s * chunk).min(n)..((s + 1) * chunk).min(n))
-        .filter(|r| !r.is_empty())
-        .collect()
-}
-
-/// One row of the frozen Equation 7 blend, overlay-aware — the dirty-row
-/// path's counterpart of [`blend_frozen`], producing exactly the row the
-/// batch blend would (same accumulation order, zeros dropped).
-#[must_use]
-pub fn blend_row_frozen(parts: &[(f64, &CsrMatrix)], row: UserId) -> SparseVector {
-    let mut out = SparseVector::new();
-    for (w, m) in parts {
-        if *w == 0.0 {
-            continue;
-        }
-        for (c, v) in m.row_entries(row) {
-            *out.entry(c).or_insert(0.0) += w * v;
-        }
-    }
-    out.retain(|_, v| *v != 0.0);
-    out
+    });
+    Ok(CsrMatrix::assemble(Arc::clone(&first.index), n, chunks))
 }
 
 #[cfg(test)]
@@ -1153,6 +982,12 @@ mod tests {
         (norm, csr)
     }
 
+    /// Patches `row` through the overlay with a prebuilt slab.
+    fn patch(csr: &mut CsrMatrix, row: u64, entries: &[(u64, f64)]) {
+        let slab: SparseVector = entries.iter().map(|&(c, v)| (u(c), v)).collect();
+        csr.set_row_arc(u(row), Arc::new(slab));
+    }
+
     /// Bit-for-bit equality of two matrices' entries.
     fn assert_bits_eq(a: &CsrMatrix, b: &SparseMatrix, what: &str) {
         let (a, b): (Vec<_>, Vec<_>) = (
@@ -1192,7 +1027,6 @@ mod tests {
         assert!(csr.row_ids().is_empty());
         assert!(csr.thaw().is_empty());
         assert!(csr.is_row_stochastic(1e-12), "vacuously stochastic");
-        assert_eq!(csr.request_coverage(&[]), 0.0);
     }
 
     #[test]
@@ -1290,23 +1124,6 @@ mod tests {
     }
 
     #[test]
-    fn shard_ranges_cover_and_never_overlap() {
-        for n in [0usize, 1, 5, 97, 1000] {
-            for shards in [1usize, 2, 3, 7, 64] {
-                let ranges = shard_ranges(n, shards);
-                let mut covered = 0usize;
-                for (i, r) in ranges.iter().enumerate() {
-                    assert_eq!(r.start, covered, "contiguous at n={n} s={shards}");
-                    assert!(r.end > r.start, "non-empty range {i}");
-                    covered = r.end;
-                }
-                assert_eq!(covered, n, "full cover at n={n} s={shards}");
-                assert!(ranges.len() <= shards);
-            }
-        }
-    }
-
-    #[test]
     fn cow_clone_shares_frozen_storage() {
         let m = synth(60, 5, 9);
         let csr = CsrMatrix::freeze(&m);
@@ -1326,9 +1143,9 @@ mod tests {
         let before: Vec<(UserId, UserId, f64)> = snap.iter().collect();
         // Patch one existing row and one brand-new row on the live copy.
         let target = snap.row_ids()[0];
-        live.set_row(target, [(u(1), 0.25), (u(2), 0.75)].into_iter().collect());
-        live.set_row(u(10_000), [(u(3), 1.0)].into_iter().collect());
-        live.set_row(snap.row_ids()[1], SparseVector::new()); // removal
+        patch(&mut live, target.as_u64(), &[(1, 0.25), (2, 0.75)]);
+        patch(&mut live, 10_000, &[(3, 1.0)]);
+        patch(&mut live, snap.row_ids()[1].as_u64(), &[]); // removal
         assert!(live.shares_storage_with(&snap), "patches stay in overlay");
         assert_eq!(live.overlay_len(), 3);
         assert_eq!(live.row_count(), snap.row_count(), "one added, one removed");
@@ -1497,25 +1314,11 @@ mod tests {
     }
 
     #[test]
-    fn blend_row_frozen_matches_batch() {
-        let frozen = freeze_normalized_all(&[&synth(20, 3, 37), &synth(20, 3, 41)]);
-        let parts = [(0.6, &frozen[0]), (0.4, &frozen[1])];
-        let whole = blend_frozen(&parts, 1).unwrap();
-        for r in whole.row_ids() {
-            let row = blend_row_frozen(&parts, r);
-            let batch: SparseVector = whole.row_entries(r).collect();
-            assert_eq!(row, batch, "row {r}");
-        }
-        assert!(blend_row_frozen(&parts, u(999)).is_empty());
-    }
-
-    #[test]
     fn overlay_patches_and_masks_rows() {
         let mut csr = CsrMatrix::freeze(&matrix(&[(0, 1, 0.5), (0, 2, 0.5), (1, 0, 1.0)]));
 
         // Replace row 0, referencing a brand-new user 9.
-        let patch: SparseVector = [(u(9), 1.0)].into_iter().collect();
-        csr.set_row(u(0), patch);
+        patch(&mut csr, 0, &[(9, 1.0)]);
         assert_eq!(csr.get(u(0), u(1)), 0.0, "frozen row masked");
         assert_eq!(csr.get(u(0), u(9)), 1.0, "new column readable");
         assert_eq!(csr.nnz(), 2);
@@ -1523,14 +1326,14 @@ mod tests {
         assert!(!csr.is_compact());
 
         // Remove row 1 outright.
-        csr.set_row(u(1), SparseVector::new());
+        patch(&mut csr, 1, &[]);
         assert_eq!(csr.get(u(1), u(0)), 0.0);
         assert_eq!(csr.row_ids(), vec![u(0)]);
         assert_eq!(csr.row_count(), 1);
         assert_eq!(csr.nnz(), 1);
 
         // Patching a nonexistent row to empty is a no-op.
-        csr.set_row(u(42), SparseVector::new());
+        patch(&mut csr, 42, &[]);
         assert_eq!(csr.overlay_len(), 2);
 
         // Compaction folds everything back.
@@ -1546,19 +1349,20 @@ mod tests {
         let m = synth(15, 3, 43);
         let mut csr = CsrMatrix::freeze(&m);
         let mut reference = m.clone();
-        let patch: SparseVector = [(u(3), 0.25), (u(99), 0.75)].into_iter().collect();
-        csr.set_row(u(4), patch.clone());
-        reference.set_row(u(4), patch).unwrap();
+        let slab: SparseVector = [(u(3), 0.25), (u(99), 0.75)].into_iter().collect();
+        csr.set_row_arc(u(4), Arc::new(slab.clone()));
+        reference.set_row(u(4), slab).unwrap();
         assert_eq!(csr.thaw(), reference);
         assert_eq!(csr.nnz(), reference.nnz());
         assert_eq!(csr.row_sum(u(4)), 1.0);
     }
 
     #[test]
-    #[should_panic(expected = "finite and non-negative")]
+    #[cfg(debug_assertions)]
+    #[should_panic(expected = "finite positive entries")]
     fn overlay_rejects_invalid_entries() {
         let mut csr = CsrMatrix::freeze(&synth(4, 2, 47));
-        csr.set_row(u(0), [(u(1), -1.0)].into_iter().collect());
+        patch(&mut csr, 0, &[(1, -1.0)]);
     }
 
     #[test]
@@ -1576,7 +1380,7 @@ mod tests {
         assert_eq!(out, vec![0.0, 0.0, 0.0], "unknown viewer");
 
         // Overlay rows are gathered through the patch.
-        csr.set_row(u(0), [(u(7), 0.5)].into_iter().collect());
+        patch(&mut csr, 0, &[(7, 0.5)]);
         csr.gather_row(u(0), &set, &mut out);
         assert_eq!(out, vec![0.0, 0.0, 0.5], "overlay consulted");
     }
@@ -1598,21 +1402,13 @@ mod tests {
     }
 
     #[test]
-    fn request_coverage_counts_covered_pairs() {
-        let csr = CsrMatrix::freeze(&matrix(&[(0, 1, 0.4)]));
-        let requests = vec![(u(0), u(1)), (u(1), u(0)), (u(0), u(2)), (u(0), u(1))];
-        // 2 of 4 requests hit the (0,1) edge.
-        assert!((csr.request_coverage(&requests) - 0.5).abs() < 1e-12);
-    }
-
-    #[test]
     fn power_compacts_overlay_first() {
         let (m, mut csr) = frozen_stochastic(&synth(30, 4, 61));
         let mut reference = m.clone();
-        let mut patch: SparseVector = [(u(1), 3.0), (u(2), 1.0)].into_iter().collect();
-        assert!(normalize_row_mut(&mut patch));
-        csr.set_row(u(0), patch.clone());
-        reference.set_row(u(0), patch).unwrap();
+        let mut slab: SparseVector = [(u(1), 3.0), (u(2), 1.0)].into_iter().collect();
+        assert!(normalize_row_mut(&mut slab));
+        csr.set_row_arc(u(0), Arc::new(slab.clone()));
+        reference.set_row(u(0), slab).unwrap();
         let frozen = csr.power(2, PowerOptions::exact(), 2);
         let expected = oracle::power(&reference, 2, PowerOptions::exact());
         assert_eq!(frozen.thaw(), expected);
@@ -1629,7 +1425,7 @@ mod tests {
         let b = CsrMatrix::freeze_normalized_sharded(&wide, &m, 1);
         assert_eq!(a, &b);
         let mut c = b.clone();
-        c.set_row(u(0), SparseVector::new());
+        patch(&mut c, 0, &[]);
         assert_ne!(a, &c);
     }
 
@@ -1651,33 +1447,9 @@ mod tests {
     }
 
     #[test]
-    fn exact_squaring_matches_iterated_multiply() {
-        let mut raw = SparseMatrix::new();
-        for i in 0..12u64 {
-            for j in 0..4u64 {
-                raw.set(u(i), u((i * 5 + j * 3) % 12), 1.0 + ((i + j) % 3) as f64)
-                    .unwrap();
-            }
-        }
-        let m = &freeze_normalized_all(&[&raw])[0];
-        for n in 4..=6u32 {
-            let fast = m.power(n, PowerOptions::exact(), 1);
-            let mut slow = m.clone();
-            for _ in 1..n {
-                slow = slow.multiply_step(m, PowerOptions::exact(), 1);
-            }
-            assert!(fast.is_row_stochastic(1e-9), "n = {n}");
-            for (r, c, v) in slow.iter() {
-                assert!((fast.get(r, c) - v).abs() < 1e-12, "n = {n} at ({r}, {c})");
-            }
-            assert_eq!(fast.nnz(), slow.nnz(), "n = {n}");
-        }
-    }
-
-    #[test]
-    fn exact_squaring_power_matches_btreemap() {
+    fn deep_exact_power_matches_btreemap() {
         let (m, csr) = frozen_stochastic(&synth(30, 4, 73));
-        for n in [4u32, 5, 6, 7] {
+        for n in 4..=7u32 {
             let frozen = csr.power(n, PowerOptions::exact(), 2);
             assert_bits_eq(&frozen, &oracle::power(&m, n, PowerOptions::exact()), "n");
         }

@@ -44,7 +44,7 @@ mod eigen;
 mod ops;
 mod sparse;
 
-pub use csr::{blend_frozen, blend_row_frozen, shard_ranges, ColumnSet, CsrMatrix, UserIndex};
+pub use csr::{blend_frozen, ColumnSet, CsrMatrix, UserIndex};
 pub use eigen::{principal_eigenvector, EigenOptions, EigenResult};
-pub use ops::{build_rows_parallel, BlendError, PowerOptions};
+pub use ops::{par_chunks, BlendError, PowerOptions};
 pub use sparse::{approx_row_bytes, normalize_row_mut, MatrixError, SparseMatrix, SparseVector};

@@ -1,10 +1,8 @@
 //! Kernel options and errors shared by the frozen kernels: the Equation 7
 //! weight check ([`BlendError`]), the Equation 8 pruning rule
-//! ([`PowerOptions`]), and the row-parallel builder the raw trust matrices
-//! are assembled with ([`build_rows_parallel`]).
+//! ([`PowerOptions`]), and the row-parallel driver every row kernel fans
+//! out through ([`par_chunks`]).
 
-use crate::sparse::SparseVector;
-use mdrep_types::UserId;
 use std::error::Error;
 use std::fmt;
 
@@ -43,40 +41,53 @@ pub(crate) fn validate_blend_weights<I: IntoIterator<Item = f64>>(
     }
 }
 
-/// Row-partitioned parallel row construction: evaluates `f` for every id in
-/// `rows` across `threads` scoped OS threads and returns the `(id, row)`
-/// pairs in the order of `rows`. Rows are computed independently, so the
-/// output is identical to the serial loop for any thread count — this is
-/// the building block behind the parallel raw trust-matrix builds.
+/// The one row-parallel driver every row kernel fans out through: cuts
+/// `items` into at most `threads` contiguous, near-equal chunks, runs
+/// `worker` on each chunk in its own scoped thread, and returns the
+/// per-chunk results in chunk order. With `threads == 1`, or fewer than two
+/// items per thread, the whole slice is one chunk run on the calling
+/// thread.
 ///
-/// Small inputs (fewer than two rows per thread) fall back to the serial
-/// loop.
+/// The chunking depends only on `items.len()` and `threads`, so a kernel
+/// whose worker is a pure per-item function produces the same output at
+/// any thread count — the contract behind every bit-identity guarantee of
+/// the freeze, blend, SpGEMM, raw-row and dirty-row kernels.
 ///
 /// # Panics
 ///
-/// Panics if `threads == 0`.
-#[must_use]
-pub fn build_rows_parallel<F>(rows: &[UserId], threads: usize, f: F) -> Vec<(UserId, SparseVector)>
-where
-    F: Fn(UserId) -> SparseVector + Sync,
-{
+/// Panics if `threads == 0` or a worker panics.
+pub fn par_chunks<T: Sync, R: Send>(
+    items: &[T],
+    threads: usize,
+    worker: impl Fn(&[T]) -> R + Sync,
+) -> Vec<R> {
     assert!(threads >= 1, "at least one thread is required");
-    if threads == 1 || rows.len() < 2 * threads {
-        return rows.iter().map(|&r| (r, f(r))).collect();
+    if threads == 1 || items.len() < 2 * threads {
+        return vec![worker(items)];
     }
-    let chunk_len = rows.len().div_ceil(threads);
-    let f = &f;
-    let partials: Vec<Vec<(UserId, SparseVector)>> = std::thread::scope(|scope| {
-        let handles: Vec<_> = rows
-            .chunks(chunk_len)
-            .map(|chunk| scope.spawn(move || chunk.iter().map(|&r| (r, f(r))).collect::<Vec<_>>()))
+    let worker = &worker;
+    std::thread::scope(|scope| {
+        let handles: Vec<_> = shard_ranges(items.len(), threads)
+            .into_iter()
+            .map(|range| scope.spawn(move || worker(&items[range])))
             .collect();
         handles
             .into_iter()
-            .map(|h| h.join().expect("worker thread panicked"))
+            .map(|h| h.join().expect("row worker panicked"))
             .collect()
-    });
-    partials.into_iter().flatten().collect()
+    })
+}
+
+/// Partitions `0..n` into at most `shards` contiguous, near-equal ranges
+/// (empty ranges are dropped). The partition depends only on `n` and
+/// `shards`, never on runtime thread availability, so [`par_chunks`]
+/// stays deterministic.
+pub(crate) fn shard_ranges(n: usize, shards: usize) -> Vec<std::ops::Range<usize>> {
+    let chunk = n.div_ceil(shards).max(1);
+    (0..shards)
+        .map(|s| (s * chunk).min(n)..((s + 1) * chunk).min(n))
+        .filter(|r| !r.is_empty())
+        .collect()
 }
 
 /// Options controlling [`CsrMatrix::power`](crate::CsrMatrix::power) and
@@ -157,21 +168,44 @@ impl PowerOptions {
 mod tests {
     use super::*;
 
-    fn u(i: u64) -> UserId {
-        UserId::new(i)
+    #[test]
+    fn par_chunks_follows_shard_ranges_and_keeps_order() {
+        for threads in [1usize, 2, 4, 16] {
+            for len in [0, 1, 2 * threads - 1, 2 * threads, 33] {
+                let items: Vec<usize> = (0..len).collect();
+                let chunks = par_chunks(&items, threads, <[usize]>::to_vec);
+                let expected = if threads == 1 || len < 2 * threads {
+                    1
+                } else {
+                    shard_ranges(len, threads).len()
+                };
+                assert_eq!(chunks.len(), expected, "len {len}, {threads} threads");
+                assert_eq!(chunks.concat(), items, "len {len}, {threads} threads");
+            }
+        }
     }
 
     #[test]
-    fn build_rows_parallel_keeps_order_and_values() {
-        let rows: Vec<UserId> = (0..33u64).map(u).collect();
-        for threads in [1, 2, 4, 16] {
-            let built = build_rows_parallel(&rows, threads, |r| {
-                [(r, r.as_u64() as f64 + 1.0)].into_iter().collect()
-            });
-            assert_eq!(built.len(), rows.len(), "{threads} threads");
-            for (i, (r, row)) in built.iter().enumerate() {
-                assert_eq!(*r, rows[i]);
-                assert_eq!(row[r], r.as_u64() as f64 + 1.0);
+    fn shard_ranges_cover_and_never_overlap() {
+        for n in [0usize, 1, 5, 97, 1000] {
+            for shards in [1usize, 2, 3, 7, 64] {
+                let ranges = shard_ranges(n, shards);
+                let mut covered = 0usize;
+                for (i, r) in ranges.iter().enumerate() {
+                    assert_eq!(r.start, covered, "contiguous at n={n} s={shards}");
+                    assert!(r.end > r.start, "non-empty range {i}");
+                    covered = r.end;
+                }
+                assert_eq!(covered, n, "full cover at n={n} s={shards}");
+                assert!(ranges.len() <= shards);
+                // The ranges are exactly `chunks(n.div_ceil(shards))`.
+                let lens: Vec<usize> = ranges.iter().map(ExactSizeIterator::len).collect();
+                let expected: Vec<usize> = (0..n)
+                    .collect::<Vec<_>>()
+                    .chunks(n.div_ceil(shards).max(1))
+                    .map(<[usize]>::len)
+                    .collect();
+                assert_eq!(lens, expected, "n={n} s={shards}");
             }
         }
     }

@@ -143,50 +143,24 @@ fn pruned_multiply(a: &SparseMatrix, b: &SparseMatrix, options: &PowerOptions) -
     out
 }
 
-/// Equation 8: `M^n` with pruning fused into every step. `n = 0` is
-/// [`identity_like`]; pruned powers and exact `n < 4` multiply
-/// left-associated, exact `n ≥ 4` squares (result · square, squares built
-/// left to right) — the schedules `CsrMatrix::power` follows.
+/// Equation 8: `M^n` with pruning fused into every step, multiplied left
+/// to right (`((M·M)·M)·…`) — the order `CsrMatrix::power` follows. `n = 0`
+/// is [`identity_like`].
 pub fn power(m: &SparseMatrix, n: u32, options: PowerOptions) -> SparseMatrix {
     if n == 0 {
         return identity_like(m);
     }
-    if n == 1 {
-        return m.clone();
-    }
-    if options.is_pruning() || n < 4 {
-        let step = |acc: &SparseMatrix| -> SparseMatrix {
-            if options.top_k.is_some() {
-                pruned_multiply(acc, m, &options)
-            } else {
-                let mut p = multiply(acc, m);
-                if options.is_pruning() {
-                    prune_matrix_fused(&mut p, &options);
-                }
-                p
+    let mut acc = m.clone();
+    for _ in 1..n {
+        acc = if options.top_k.is_some() {
+            pruned_multiply(&acc, m, &options)
+        } else {
+            let mut p = multiply(&acc, m);
+            if options.is_pruning() {
+                prune_matrix_fused(&mut p, &options);
             }
+            p
         };
-        let mut acc = step(m);
-        for _ in 2..n {
-            acc = step(&acc);
-        }
-        return acc;
     }
-    let mut result: Option<SparseMatrix> = None;
-    let mut square = m.clone();
-    let mut e = n;
-    loop {
-        if e & 1 == 1 {
-            result = Some(match result {
-                None => square.clone(),
-                Some(r) => multiply(&r, &square),
-            });
-        }
-        e >>= 1;
-        if e == 0 {
-            break;
-        }
-        square = multiply(&square, &square);
-    }
-    result.expect("n >= 1 sets at least one bit")
+    acc
 }

@@ -150,16 +150,6 @@ proptest! {
         prop_assert_eq!(got, want);
     }
 
-    #[test]
-    fn coverage_is_a_fraction(m in matrix_strategy(10),
-                              reqs in proptest::collection::vec((0u64..10, 0u64..10), 0..40)) {
-        let pairs: Vec<_> = reqs.into_iter()
-            .map(|(a, b)| (UserId::new(a), UserId::new(b)))
-            .collect();
-        let cov = CsrMatrix::freeze(&m).request_coverage(&pairs);
-        prop_assert!((0.0..=1.0).contains(&cov));
-    }
-
     /// The fused-pruning contract: for random (n, ε, k) on a normalized
     /// random matrix, the reference and CSR powers agree within 1e-12
     /// (bit-identical in practice), rows never exceed the top-k cap, and
@@ -202,8 +192,7 @@ proptest! {
     }
 
     /// ε = 0 with no cap is not "pruning" at all: both paths must reproduce
-    /// `PowerOptions::exact()` bit-identically, including the n >= 4
-    /// squaring fast path.
+    /// `PowerOptions::exact()` bit-identically at every depth.
     #[test]
     fn noop_pruning_is_exact(m in matrix_strategy(8), n in 1u32..6) {
         prop_assume!(!m.is_empty());
