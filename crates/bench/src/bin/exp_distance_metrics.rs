@@ -83,13 +83,8 @@ fn fake_f1(trace: &Trace, engine: &ReputationEngine, end: SimTime) -> f64 {
         for &file in title.files() {
             let evals: Vec<OwnerEvaluation> = engine
                 .evaluations()
-                .evaluators_of(file)
-                .filter_map(|owner| {
-                    engine
-                        .evaluations()
-                        .evaluation(owner, file, end, engine.params())
-                        .map(|e| OwnerEvaluation::new(owner, e))
-                })
+                .column(file, end, engine.params())
+                .map(|(owner, e)| OwnerEvaluation::new(owner, e))
                 .take(16)
                 .collect();
             let is_fake = !trace.catalog().is_authentic(file);

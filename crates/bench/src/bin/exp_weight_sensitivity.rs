@@ -107,13 +107,8 @@ fn evaluate(
         for &file in title.files() {
             let evals: Vec<OwnerEvaluation> = engine
                 .evaluations()
-                .evaluators_of(file)
-                .filter_map(|owner| {
-                    engine
-                        .evaluations()
-                        .evaluation(owner, file, end, engine.params())
-                        .map(|e| OwnerEvaluation::new(owner, e))
-                })
+                .column(file, end, engine.params())
+                .map(|(owner, e)| OwnerEvaluation::new(owner, e))
                 .take(16)
                 .collect();
             let is_fake = !trace.catalog().is_authentic(file);

@@ -444,12 +444,12 @@ impl<S: ReputationSystem> Simulation<S> {
             let injector = &mut self.injector;
             let retry = &self.config.fault_retry;
             evals
-                .evaluators_of(file)
-                .filter(|owner| match injector.as_mut() {
+                .column(file, now, eval_params)
+                .filter(|&(owner, _)| match injector.as_mut() {
                     None => true,
                     Some(inj) => {
                         attempted += 1;
-                        let dropped = inj.retrieval_lost(viewer, *owner, now, retry);
+                        let dropped = inj.retrieval_lost(viewer, owner, now, retry);
                         // Expand the single end-to-end fault decision into
                         // the attempt tree it stands for: a lost retrieval
                         // means every retry failed (with its deterministic
@@ -481,11 +481,7 @@ impl<S: ReputationSystem> Simulation<S> {
                         !dropped
                     }
                 })
-                .filter_map(|owner| {
-                    evals
-                        .evaluation(owner, file, now, eval_params)
-                        .map(|e| OwnerEvaluation::new(owner, e))
-                })
+                .map(|(owner, e)| OwnerEvaluation::new(owner, e))
                 .take(MAX_OWNER_EVALS)
                 .collect()
         };
@@ -512,12 +508,8 @@ fn authoritative_evaluations(
     now: SimTime,
 ) -> Vec<OwnerEvaluation> {
     evals
-        .evaluators_of(file)
-        .filter_map(|owner| {
-            evals
-                .evaluation(owner, file, now, params)
-                .map(|e| OwnerEvaluation::new(owner, e))
-        })
+        .column(file, now, params)
+        .map(|(owner, e)| OwnerEvaluation::new(owner, e))
         .take(MAX_OWNER_EVALS)
         .collect()
 }

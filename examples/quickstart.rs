@@ -53,13 +53,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         // Collect the published evaluations of whoever evaluated it.
         let evals: Vec<OwnerEvaluation> = engine
             .evaluations()
-            .evaluators_of(fake)
-            .filter_map(|owner| {
-                engine
-                    .evaluations()
-                    .evaluation(owner, fake, end, engine.params())
-                    .map(|e| OwnerEvaluation::new(owner, e))
-            })
+            .column(fake, end, engine.params())
+            .map(|(owner, e)| OwnerEvaluation::new(owner, e))
             .take(16)
             .collect();
         let viewer = UserId::new(0);

@@ -56,13 +56,8 @@ fn fake_files_score_below_authentic_files_on_average() {
         for &file in title.files() {
             let evals: Vec<OwnerEvaluation> = engine
                 .evaluations()
-                .evaluators_of(file)
-                .filter_map(|owner| {
-                    engine
-                        .evaluations()
-                        .evaluation(owner, file, end, engine.params())
-                        .map(|e| OwnerEvaluation::new(owner, e))
-                })
+                .column(file, end, engine.params())
+                .map(|(owner, e)| OwnerEvaluation::new(owner, e))
                 .take(16)
                 .collect();
             if evals.len() < 3 {
